@@ -127,7 +127,8 @@ fn write_spans(work: &Path, stem: &str, tr: &spans::Tracer) -> Result<PathBuf, S
 
 fn run(a: &Args) -> Result<(), String> {
     let pinned = PINNED_THREADS.min(host::nproc());
-    // Pinned before any thread starts: the engine reads it per run.
+    // Pinned before any thread starts: the engine reads it per run, and
+    // the sweep server child inherits it.
     let engine_threads = match a.workload.as_str() {
         "lifetime_shadowed" | "sweep_serve" => 1,
         "grid2025_sharded" => pinned,
@@ -174,15 +175,10 @@ fn run(a: &Args) -> Result<(), String> {
             }
         };
         if a.trace {
-            let (plain, rec) = single::traced(&w, a.seconds, &mut out);
+            let tr = single::traced(&w, a.seconds, &mut out);
             out.note(format!(
                 "spans: {}",
-                write_spans(&work, &stem, &plain)?.display()
-            ));
-            let rec_stem = format!("{stem}-recorder");
-            out.note(format!(
-                "spans: {}",
-                write_spans(&work, &rec_stem, &rec)?.display()
+                write_spans(&work, &stem, &tr)?.display()
             ));
             digests = Vec::new();
         } else {

@@ -160,10 +160,11 @@ pub fn measure(w: &Single, seconds: f64, out: &mut Outcome) -> Vec<String> {
 /// The traced pass: per-layer metrics. Each scenario runs twice per
 /// pass, once plain and once with the flight recorder and series
 /// sampler on; both must give the same physics digest.
-pub fn traced(w: &Single, seconds: f64, out: &mut Outcome) -> (Tracer, Tracer) {
+pub fn traced(w: &Single, seconds: f64, out: &mut Outcome) -> Tracer {
     let plain_opts = RunOptions::default();
     let mut plain = Tracer::new(true);
-    let mut rec = Tracer::new(true);
+    // Span times come from the plain runs only.
+    let mut rec = Tracer::new(false);
     let mut facts = Vec::new();
     let mut counts = TraceCounts::default();
     let (mut series, mut plain_s, mut rec_s) = (0u64, 0.0, 0.0);
@@ -213,7 +214,7 @@ pub fn traced(w: &Single, seconds: f64, out: &mut Outcome) -> (Tracer, Tracer) {
     );
     out.put("series.samples", series as f64, "count");
     crate::layers::serve_zeros(out);
-    (plain, rec)
+    plain
 }
 
 /// The context line stating a tail's percentile and sample count.

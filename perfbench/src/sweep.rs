@@ -23,7 +23,7 @@ use bcp_sim::time::SimDuration;
 use bcp_simnet::{emit_spec, parse_spec, RunOptions, World};
 use bcp_snapshot::cache::{write_atomic, CellKey, Store};
 use bcp_snapshot::RunMeta;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -48,56 +48,74 @@ pub struct Sweep {
     pub work: PathBuf,
 }
 
-/// A server child process on its own store and socket. Dropping it kills
-/// the process if it still runs and removes the store.
+/// A directory that is created empty and removed when dropped: one
+/// round's store and socket.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn fresh(dir: &Path) -> Result<Scratch, String> {
+        std::fs::remove_dir_all(dir).ok();
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        Ok(Scratch(dir.to_path_buf()))
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+/// A server child process on the store and socket under a directory.
+/// Dropping it kills the process if it still runs.
 struct Server {
     child: Child,
-    dir: PathBuf,
     sock: PathBuf,
 }
 
 impl Server {
-    /// Starts a server on a fresh store under `dir` and waits until it
-    /// answers. Returns it with the start-to-first-answer time.
+    /// Starts a server on the store under `dir` (fresh or left by an
+    /// earlier server) and waits until it answers. Returns it with the
+    /// start-to-first-answer time.
     fn start(dir: &Path, budget: usize) -> Result<(Server, f64), String> {
-        std::fs::remove_dir_all(dir).ok();
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         let sock = dir.join("sock");
         let exe = std::env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?;
         let t = Instant::now();
+        // The child inherits this process's pinned `BCP_THREADS`, which
+        // the host stamp records.
         let child = Command::new(exe)
             .arg("serve-child")
             .arg(dir.join("store"))
             .arg(&sock)
             .arg(GRID_S.to_string())
             .arg(budget.to_string())
-            .env(bcp_sim::threads::THREADS_ENV, budget.to_string())
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::null())
             .spawn()
             .map_err(|e| format!("cannot start the server: {e}"))?;
-        let mut server = Server {
-            child,
-            dir: dir.to_path_buf(),
-            sock,
-        };
+        let mut server = Server { child, sock };
+        // Retry the connection without sleeping: start-up takes a few
+        // milliseconds, and a sleeping poll would round it to the sleep.
         loop {
-            if server.sock.exists() {
-                if let Ok(reply) = request_line(&server.sock, &status_line()) {
-                    if reply.starts_with("{\"ok\":true") {
-                        return Ok((server, t.elapsed().as_secs_f64()));
-                    }
+            if let Ok(reply) = request_line(&server.sock, &status_line()) {
+                if reply.starts_with("{\"ok\":true") {
+                    return Ok((server, t.elapsed().as_secs_f64()));
                 }
             }
             if let Ok(Some(st)) = server.child.try_wait() {
                 return Err(format!("the server exited at start-up: {st}"));
             }
-            if t.elapsed() > Duration::from_secs(30) {
+            let waited = t.elapsed();
+            if waited > Duration::from_secs(30) {
                 return Err("the server did not answer within 30 s".into());
             }
-            std::thread::sleep(Duration::from_micros(200));
+            if waited > Duration::from_secs(1) {
+                std::thread::sleep(Duration::from_millis(1));
+            } else {
+                std::thread::yield_now();
+            }
         }
     }
 
@@ -130,7 +148,6 @@ impl Drop for Server {
             self.child.kill().ok();
             self.child.wait().ok();
         }
-        std::fs::remove_dir_all(&self.dir).ok();
     }
 }
 
@@ -281,10 +298,13 @@ fn objects(body: &str) -> Result<Vec<&str>, String> {
     Err("unterminated cells array".into())
 }
 
-/// One measured round: fresh server, job 1, job 2, shutdown.
+/// One measured round: a server on a fresh store runs job 1 and shuts
+/// down; a second server on the same store runs job 2.
 #[derive(Debug)]
 struct Round {
     setup_s: f64,
+    /// Start-to-first-answer of the second server, which recovers job 1.
+    restart_s: f64,
     wall_s: f64,
     settled: usize,
     events: u64,
@@ -296,11 +316,19 @@ struct Round {
 }
 
 impl Sweep {
-    /// Runs one round, tallying every cell into `out`.
-    fn round(&self, idx: usize, out: &mut Outcome) -> Result<Round, String> {
+    /// Runs one round, tallying every cell into `out`. `known` holds the
+    /// digest of every cell an earlier round executed; a cell must give
+    /// the same digest in every round.
+    fn round(
+        &self,
+        idx: usize,
+        known: &mut HashMap<String, String>,
+        out: &mut Outcome,
+    ) -> Result<Round, String> {
         let dir = self
             .work
             .join(format!("serve-{}-{idx}", std::process::id()));
+        let _scratch = Scratch::fresh(&dir)?;
         let (server, setup_s) = Server::start(&dir, self.budget)?;
         let t0 = Instant::now();
         let j1 = run_job(&server.sock, &self.job1)?;
@@ -310,6 +338,12 @@ impl Sweep {
                 j1.cached
             ));
         }
+        let mut peak_rss_mb = server.peak_rss_mb();
+        server.stop()?;
+        // A second server life on the same store. It recovers job 1 from
+        // its manifest, reading each result back through `Store::lookup`,
+        // so job 2's repeats are served from the on-disk cache.
+        let (server, restart_s) = Server::start(&dir, self.budget)?;
         let j2 = run_job(&server.sock, &self.job2)?;
         let wall_s = t0.elapsed().as_secs_f64();
         if j2.cached != self.job1.len() as u64 {
@@ -319,7 +353,8 @@ impl Sweep {
                 j2.cached
             ));
         }
-        let peak_rss_mb = server.peak_rss_mb();
+        peak_rss_mb = peak_rss_mb.max(server.peak_rss_mb());
+        server.stop()?;
 
         let mut executed = HashMap::new();
         let mut first_bytes: HashMap<String, String> = HashMap::new();
@@ -335,7 +370,7 @@ impl Sweep {
             } else {
                 &self.job2[i - self.job1.len()]
             };
-            let res = self.settle_check(&cell, scn, &store, &mut first_bytes);
+            let res = settle_check(&cell, scn, &store, &mut first_bytes, known);
             match res {
                 Ok(Some((digest, facts))) => {
                     out.saw_threads(facts.threads);
@@ -346,10 +381,10 @@ impl Sweep {
                 Err(e) => out.tally(Some(format!("cell {}: {e}", &cell.hash[..12]))),
             }
         }
-        server.stop()?;
         let events = executed.values().map(|(_, f, _)| f.events).sum();
         Ok(Round {
             setup_s,
+            restart_s,
             wall_s,
             settled: self.job1.len() + self.job2.len(),
             events,
@@ -360,59 +395,26 @@ impl Sweep {
         })
     }
 
-    /// Checks one settled cell. An executed cell must pass the gate and
-    /// match the bytes the store holds for it; a cell already executed
-    /// this round is a cache hit and must be byte-identical to that
-    /// first execution. Returns the digest and counters of executed cells.
-    fn settle_check(
-        &self,
-        cell: &Settled,
-        (scn, seed): &Cell,
-        store: &Store,
-        first: &mut HashMap<String, String>,
-    ) -> Result<Option<(String, Facts)>, String> {
-        let stats = cell.stats.as_ref().map_err(|e| format!("failed: {e}"))?;
-        let key = cell_key(scn, *seed)?;
-        if key.hash_hex() != cell.hash {
-            return Err("the server keyed the cell differently".into());
-        }
-        // A cell this round already executed is served from the cache.
-        if let Some(b) = first.get(&cell.hash) {
-            return if b == stats {
-                Ok(None)
-            } else {
-                Err("cache hit differs from the first execution".into())
-            };
-        }
-        if cell.cached {
-            return Err("served from a cache this round's fresh store never filled".into());
-        }
-        let stored = store
-            .lookup(&key)
-            .ok_or("executed cell missing from the store")?;
-        if stored != stats.as_bytes() {
-            return Err("stored stats differ from the reported ones".into());
-        }
-        first.insert(cell.hash.clone(), stats.clone());
-        Ok(Some((gate::digest(stats)?, gate::check(stats)?)))
-    }
-
     /// The untraced measurement: end-to-end metrics. Returns the digests
-    /// of the first round's executed cells.
+    /// of the executed cells.
     pub fn measure(&self, seconds: f64, out: &mut Outcome) -> Vec<String> {
         let mut setup = Vec::new();
         for i in 0..SETUP_ONLY_STARTS {
             let dir = self.work.join(format!("setup-{}-{i}", std::process::id()));
-            match Server::start(&dir, self.budget).and_then(|(s, t)| s.stop().map(|_| t)) {
+            let res = Scratch::fresh(&dir).and_then(|_scratch| {
+                Server::start(&dir, self.budget).and_then(|(s, t)| s.stop().map(|_| t))
+            });
+            match res {
                 Ok(t) => setup.push(t),
                 Err(e) => out.tally(Some(format!("server start: {e}"))),
             }
         }
         let start = Instant::now();
+        let mut known = HashMap::new();
         let mut rounds: Vec<Round> = Vec::new();
         loop {
             let t = Instant::now();
-            match self.round(rounds.len(), out) {
+            match self.round(rounds.len(), &mut known, out) {
                 Ok(r) => rounds.push(r),
                 Err(e) => {
                     out.tally(Some(format!("round: {e}")));
@@ -452,9 +454,10 @@ impl Sweep {
         );
         out.put("peak_rss_mb", median(&each(&|r| r.peak_rss_mb)), "MB");
         out.note(format!(
-            "rounds {}; server starts timed {}",
+            "rounds {}; server starts timed {}; median restart on job 1's store {:.4} s",
             rounds.len(),
-            setup.len()
+            setup.len(),
+            median(&each(&|r| r.restart_s))
         ));
         if let Some(r) = rounds.first() {
             let t = tail(&r.latency);
@@ -467,9 +470,7 @@ impl Sweep {
         out.note(format!("median done lag {:.4} s", median(&lags)));
         // Sorted: cell order is scheduling order, which the server does
         // not fix.
-        let mut digests: Vec<String> = rounds.first().map_or(Vec::new(), |r| {
-            r.executed.values().map(|e| e.0.clone()).collect()
-        });
+        let mut digests: Vec<String> = known.into_values().collect();
         digests.sort();
         digests
     }
@@ -480,10 +481,11 @@ impl Sweep {
         let mut tr = Tracer::new(true);
         let start = Instant::now();
         let mut n = 0usize;
+        let mut known = HashMap::new();
         let mut agg = ReplayAgg::default();
         loop {
             let t = Instant::now();
-            let round = match self.round(n, out) {
+            let round = match self.round(n, &mut known, out) {
                 Ok(r) => r,
                 Err(e) => {
                     out.tally(Some(format!("round: {e}")));
@@ -540,7 +542,8 @@ impl Sweep {
     }
 
     /// Replays round `n`'s cells through the server's public calls on a
-    /// fresh store under `dir`.
+    /// fresh store under `dir`, in the round's order: job 1 on the empty
+    /// store, the second server's recovery of job 1, then job 2.
     fn replay(
         &self,
         dir: &Path,
@@ -563,26 +566,40 @@ impl Sweep {
             trace: false,
             trace_filter: Vec::new(),
         };
+        let steps = (self.job1.iter().map(|c| (Step::Job1, c)))
+            .chain(self.job1.iter().map(|c| (Step::Recover, c)))
+            .chain(self.job2.iter().map(|c| (Step::Job2, c)));
+        // Executed bytes by hash, and the hashes the live server holds in
+        // memory (it looks up only cells it does not know).
         let mut first: HashMap<String, Vec<u8>> = HashMap::new();
+        let mut memory: HashSet<String> = HashSet::new();
         let mut busy = 0.0;
         // Counts come from the last complete replay.
         agg.facts.clear();
-        for (i, (scn, seed)) in self.job1.iter().chain(&self.job2).enumerate() {
+        for (i, (step, (scn, seed))) in steps.enumerate() {
+            if step == Step::Recover && i == self.job1.len() {
+                memory.clear();
+            }
             let id = (n * 1000 + i) as u64;
             let t = Instant::now();
             tr.begin("cell", id);
-            let res = replay_cell(scn, *seed, &store, &opts, &meta, grid, tr, id);
+            let res = replay_cell(scn, *seed, &memory, &store, &opts, &meta, grid, tr, id);
             tr.close_all();
             let took = t.elapsed().as_secs_f64();
             busy += took;
-            agg.lookups += 1;
-            let res = res.and_then(|r| match r {
-                Replayed::Hit { hash, bytes } => match first.get(&hash) {
-                    Some(b) if *b == bytes => Ok(()),
-                    _ => Err("replay cache hit differs from its execution".to_string()),
+            let res = res.and_then(|r| match (step, r) {
+                (Step::Job2, Replayed::Known(hash)) if first.contains_key(&hash) => Ok(()),
+                (Step::Recover, Replayed::Hit { hash, bytes }) => {
+                    agg.lookups += 1;
+                    if first.get(&hash) != Some(&bytes) {
+                        return Err("replay cache hit differs from its execution".into());
+                    }
+                    agg.hits += 1;
+                    memory.insert(hash);
+                    Ok(())
                 }
-                .map(|_| agg.hits += 1),
-                Replayed::Ran(x) => {
+                (Step::Job1 | Step::Job2, Replayed::Ran(x)) => {
+                    agg.lookups += 1;
                     let digest = gate::digest(&x.stats)?;
                     let facts = gate::check(&x.stats)?;
                     let (served, _, lat) = round
@@ -600,9 +617,13 @@ impl Sweep {
                     agg.snapshot_nodes += x.snapshots * x.nodes;
                     agg.samples += x.samples;
                     agg.facts.push(facts);
+                    memory.insert(x.hash.clone());
                     first.insert(x.hash, x.stats.into_bytes());
                     Ok(())
                 }
+                (step, _) => Err(format!(
+                    "{step:?}: the replay's cache behaved unlike the server's"
+                )),
             });
             if let Err(e) = res {
                 out.tally(Some(format!("replayed cell {i}: {e}")));
@@ -617,6 +638,70 @@ impl Sweep {
         agg.done_lag.extend(&round.done_lag);
         Ok(())
     }
+}
+
+/// Checks one settled cell. An executed cell must pass the gate, match
+/// the bytes the store holds for it, and give the digest it gave in
+/// earlier rounds (`known`); a cell already executed this round must be
+/// a cache hit, byte-identical to that first execution. Returns the
+/// digest and counters of executed cells.
+fn settle_check(
+    cell: &Settled,
+    (scn, seed): &Cell,
+    store: &Store,
+    first: &mut HashMap<String, String>,
+    known: &mut HashMap<String, String>,
+) -> Result<Option<(String, Facts)>, String> {
+    let stats = cell.stats.as_ref().map_err(|e| format!("failed: {e}"))?;
+    let key = cell_key(scn, *seed)?;
+    if key.hash_hex() != cell.hash {
+        return Err("the server keyed the cell differently".into());
+    }
+    if let Some(b) = first.get(&cell.hash) {
+        if !cell.cached {
+            return Err("a repeated cell was not served from the cache".into());
+        }
+        return if b == stats {
+            Ok(None)
+        } else {
+            Err("cache hit differs from the first execution".into())
+        };
+    }
+    if cell.cached {
+        return Err("served from a cache this round's fresh store never filled".into());
+    }
+    let stored = store
+        .lookup(&key)
+        .ok_or("executed cell missing from the store")?;
+    if stored != stats.as_bytes() {
+        return Err("stored stats differ from the reported ones".into());
+    }
+    first.insert(cell.hash.clone(), stats.clone());
+    let digest = gate::digest(stats)?;
+    let facts = gate::check(stats)?;
+    match known.get(&cell.hash) {
+        Some(d) if *d != digest => {
+            return Err(format!(
+                "not deterministic: digest {d} in an earlier round, {digest} now"
+            ))
+        }
+        Some(_) => {}
+        None => {
+            known.insert(cell.hash.clone(), digest.clone());
+        }
+    }
+    Ok(Some((digest, facts)))
+}
+
+/// Where a replayed cell stands in the round.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Step {
+    /// Submitted in job 1 to the first server.
+    Job1,
+    /// Recovered from job 1's manifest by the second server.
+    Recover,
+    /// Submitted in job 2 to the second server.
+    Job2,
 }
 
 /// Totals over every replayed round.
@@ -657,17 +742,24 @@ struct Ran {
 }
 
 enum Replayed {
-    Hit { hash: String, bytes: Vec<u8> },
+    /// The server held the cell in memory and made no lookup.
+    Known(String),
+    Hit {
+        hash: String,
+        bytes: Vec<u8>,
+    },
     Ran(Ran),
 }
 
-/// One cell through the server's calls: canonicalise, key, look up;
-/// on a miss build, step the grid (run, drain the series, snapshot,
-/// encode, write the checkpoint), finish, serialise and insert.
+/// One cell through the server's calls: canonicalise and key; a cell
+/// the server holds in `memory` stops there. Otherwise look it up; on a
+/// miss build, step the grid (run, drain the series, snapshot, encode,
+/// write the checkpoint), finish, serialise and insert.
 #[allow(clippy::too_many_arguments)]
 fn replay_cell(
     scn: &str,
     seed: u64,
+    memory: &HashSet<String>,
     store: &Store,
     opts: &RunOptions,
     meta: &RunMeta,
@@ -690,6 +782,9 @@ fn replay_cell(
         let hash = key.hash_hex();
         (key, hash)
     });
+    if memory.contains(&hash) {
+        return Ok(Replayed::Known(hash));
+    }
     if let Some(bytes) = tr.time("cache.lookup", id, || store.lookup(&key)) {
         return Ok(Replayed::Hit { hash, bytes });
     }

@@ -403,6 +403,9 @@ pub fn parse_sweep(text: &str) -> Result<SweepSpec, String> {
                 if !secs.is_finite() || secs <= 0.0 {
                     return Err(at("duration_s must be positive".into()));
                 }
+                if secs > u64::MAX as f64 / 1e9 {
+                    return Err(at(format!("duration_s out of range: {secs} s")));
+                }
                 spec.duration = SimDuration::from_secs_f64(secs);
             }
             other => return Err(at(format!("unknown key {other:?}"))),
@@ -608,6 +611,7 @@ mod tests {
             ("cells = warp:9\n", "sensor|dot11|dual"),
             ("rate = high\nnonsense\n", "line 2"),
             ("duration_s = -5\n", "positive"),
+            ("duration_s = 1e11\n", "line 1: duration_s out of range"),
         ] {
             let err = parse_sweep(bad).expect_err(bad);
             assert!(err.contains(needle), "{bad:?} -> {err}");

@@ -1,11 +1,10 @@
 //! Deterministically-keyed event queues for the sharded engine.
 //!
-//! The classic [`EventQueue`](crate::event::EventQueue) breaks timestamp
-//! ties by *insertion sequence*. That is perfectly deterministic for a
-//! single queue, but the insertion sequence is an artifact of execution
-//! interleaving: split the same model across two queues and the per-queue
-//! sequences no longer reconstruct the single-queue order. A sharded run
-//! could then legally diverge from the sequential one.
+//! Breaking timestamp ties by *insertion sequence* alone is deterministic
+//! for a single queue, but the insertion sequence is an artifact of
+//! execution interleaving: split the same model across two queues and the
+//! per-queue sequences no longer reconstruct the single-queue order. A
+//! sharded run could then legally diverge from the sequential one.
 //!
 //! [`ShardQueue`] instead orders events by an [`EvKey`] that is a pure
 //! function of the *model*, not of the execution:
@@ -76,6 +75,9 @@ impl EvKey {
 /// different `ord` values (encode the event kind plus the entities it
 /// concerns); equal values are only acceptable for events whose effects
 /// commute, e.g. the per-shard halves of one broadcast.
+///
+/// In a single unsharded queue, equal `ord`s fall back to insertion order:
+/// a model that returns one constant `ord` gets a plain FIFO-on-ties queue.
 pub trait Keyed {
     /// The tie-break discriminant. Must depend only on event content.
     fn ord(&self) -> u128;
@@ -793,6 +795,51 @@ mod tests {
         assert_eq!(k.ord, 9);
     }
 
+    #[derive(Debug)]
+    struct Tie(u32);
+    impl Keyed for Tie {
+        fn ord(&self) -> u128 {
+            0
+        }
+    }
+
+    #[test]
+    fn constant_ord_pops_ties_in_insertion_order() {
+        // Reference: a min-heap on (time, insertion seq), i.e. a queue that
+        // is FIFO on ties. Each pop schedules one or two children 0, 20 µs
+        // or 1 s later (same instant, wheel, overflow); the orders agree.
+        use std::cmp::Reverse;
+        let mut rng = crate::rng::Rng::new(7);
+        let mut q = ShardQueue::new();
+        q.schedule(SimTime::ZERO, Tie(0));
+        let mut fifo = BinaryHeap::from([Reverse((SimTime::ZERO, 0))]);
+        let mut next = 1;
+        while let Some(Reverse((t, id))) = fifo.pop() {
+            let (k, e) = q.pop_min().expect("queues drain together");
+            assert_eq!((k.time, e.0), (t, id));
+            for _ in 0..1 + rng.index(2) {
+                if next < 2000 {
+                    let gap = [0, 20_000, 1_000_000_000][rng.index(3)];
+                    let at = t + crate::time::SimDuration::from_nanos(gap);
+                    q.schedule(at, Tie(next));
+                    fifo.push(Reverse((at, next)));
+                    next += 1;
+                }
+            }
+        }
+        assert_eq!(next, 2000, "the cascade reached its cap");
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "but shard clock is at")]
+    fn scheduling_into_the_past_panics() {
+        let mut q = ShardQueue::new();
+        q.schedule(SimTime::from_secs(5), 1u64);
+        q.pop_min();
+        q.schedule(SimTime::from_secs(1), 2u64);
+    }
+
     #[test]
     #[should_panic(expected = "arrived with shard clock")]
     fn stale_message_panics() {
@@ -885,8 +932,12 @@ mod tests {
         let a = q.schedule(SimTime::from_secs(1), 1u64);
         assert!(q.cancel(a));
         // The recycled slot's new entry must not be killable via the old id.
-        let _b = q.schedule(SimTime::from_secs(2), 2u64);
+        let b = q.schedule(SimTime::from_secs(2), 2u64);
         assert!(!q.cancel(a), "stale id must not cancel the reused slot");
         assert_eq!(q.pop_min().map(|(_, e)| e), Some(2));
+        // Nor may the id of an event that already fired.
+        let _c = q.schedule(SimTime::from_secs(3), 3u64);
+        assert!(!q.cancel(b), "already fired");
+        assert_eq!(q.pop_min().map(|(_, e)| e), Some(3));
     }
 }

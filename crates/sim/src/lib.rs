@@ -7,9 +7,11 @@
 //!
 //! Determinism is the design constraint that shapes everything here:
 //!
-//! * event ties are broken by insertion sequence ([`event::EventQueue`])
-//!   for single-queue models, or by a content-derived key
-//!   ([`keyed::ShardQueue`]) for models sharded across cores,
+//! * every model schedules on one queue type, [`keyed::ShardQueue`] (one
+//!   per shard), ordered by a key derived from the model (time, causal
+//!   depth, a [`keyed::Keyed`] discriminant), so a run replays identically
+//!   however it is sharded; equal keys in one queue pop in insertion
+//!   order,
 //! * randomness comes from an in-crate xoshiro256★★ ([`rng::Rng`]) whose
 //!   stream is bit-stable across platforms and releases,
 //! * time is integer nanoseconds ([`time::SimTime`]), so no float drift.
@@ -27,32 +29,26 @@
 //! ```
 //! use bcp_sim::prelude::*;
 //!
-//! #[derive(Default)]
-//! struct Model { arrivals: u32 }
-//! enum Ev { Arrival }
+//! struct Arrival;
+//! impl Keyed for Arrival { fn ord(&self) -> u128 { 0 } }
 //!
-//! let mut sched = Scheduler::new();
+//! let mut q = ShardQueue::new();
 //! let mut rng = Rng::new(42);
-//! sched.at(SimTime::ZERO, Ev::Arrival);
-//! let mut model = Model::default();
-//! run_until(&mut model, &mut sched, SimTime::from_secs(60), |m, sched, ev| {
-//!     match ev {
-//!         Ev::Arrival => {
-//!             m.arrivals += 1;
-//!             let gap = SimDuration::from_secs_f64(rng.exponential(1.0));
-//!             sched.after(gap, Ev::Arrival);
-//!         }
-//!     }
-//! });
-//! assert!(model.arrivals > 30 && model.arrivals < 120);
+//! let horizon = SimTime::from_secs(60);
+//! q.schedule(SimTime::ZERO, Arrival);
+//! let mut arrivals = 0u32;
+//! while let Some((_, Arrival)) = q.pop_due(horizon) {
+//!     arrivals += 1;
+//!     let gap = SimDuration::from_secs_f64(rng.exponential(1.0));
+//!     q.schedule(q.now() + gap, Arrival);
+//! }
+//! assert!(arrivals > 30 && arrivals < 120);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod conservative;
-pub mod engine;
-pub mod event;
 pub mod json;
 pub mod keyed;
 pub mod rng;
@@ -63,15 +59,12 @@ pub mod trace;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::engine::{run_to_quiescence, run_until, Scheduler};
-    pub use crate::event::{EventId, EventQueue};
+    pub use crate::keyed::{Keyed, ShardQueue};
     pub use crate::rng::Rng;
     pub use crate::stats::{mean_ci95, Series, Welford};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::trace::Trace;
 }
 
-pub use engine::Scheduler;
-pub use event::{EventId, EventQueue};
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};

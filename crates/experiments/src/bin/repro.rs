@@ -13,8 +13,6 @@
 //!              [--trace <file>] [--series <file>] [--series-every <secs>]
 //! repro explore <file.scn|file.ckpt> [--warm <secs>] [--until <secs>]
 //!               [--max-interleavings <n>] [--max-steps <n>]
-//! repro bench [--quick|--full] [--out <file>]
-//! repro bench --compare <old.json> <new.json> [--tolerance <pct>]
 //! repro serve [--store <dir>] [--sock <path>] [--grid <secs>] [--budget <n>]
 //! repro submit <file.scn|file.sweep> [--sock <path>]
 //!              [--test|--quick|--paper-lite|--paper]
@@ -49,13 +47,6 @@
 //!   warmed for `--warm` seconds) up to `--until`, checking the engine's
 //!   liveness/energy invariants on each path. Exits nonzero on any
 //!   violation. Keep the world small (≤10 nodes) — ties compound.
-//! * `repro bench` times the canonical node × shard grid end to end and
-//!   prints `{"rev":...,"cells":[...]}`; check the output in as
-//!   `BENCH_<rev>.json` to track engine throughput across revisions.
-//!   `--quick` (the default quality) runs the CI-sized corner of the
-//!   grid; `--full` runs the whole matrix. `--compare` instead diffs two
-//!   checked-in documents cell by cell and exits nonzero when any cell
-//!   regressed more than `--tolerance` percent (default 10).
 //! * `repro serve` runs the sweep server (see the README's "Sweep
 //!   server" section): submissions land in a content-addressed result
 //!   cache under `--store`, long cells checkpoint on the `--grid` so a
@@ -65,10 +56,6 @@
 //!   quality flag is recorded in each cell's cache key (`--test` clamps
 //!   the horizon server-side exactly like `repro run --test`).
 
-use bcp_experiments::bench::{
-    bench_fork_sweep, bench_grid, bench_json, compare, git_rev, parse_bench, render_compare,
-    render_drift, render_fork_line,
-};
 use bcp_experiments::{all, find, Output, Quality, RunCtx};
 use bcp_sim::time::{SimDuration, SimTime};
 use bcp_sim::trace::TraceCat;
@@ -87,8 +74,6 @@ struct Cli {
     /// Experiment ids (order-preserving, deduplicated).
     ids: Vec<String>,
     list: bool,
-    /// `repro bench`: run the throughput grid instead of experiments.
-    bench: bool,
     /// `repro run --trace <file>`: write the flight-recorder NDJSON here.
     trace: Option<PathBuf>,
     /// `--trace-filter`: keep only these categories (empty = all).
@@ -97,10 +82,6 @@ struct Cli {
     series: Option<PathBuf>,
     /// `--series-every <secs>` (default 1 s when `--series` is given).
     series_every: Option<f64>,
-    /// `repro bench --compare <old> <new>`: diff two bench documents.
-    compare: Option<(PathBuf, PathBuf)>,
-    /// `--tolerance <pct>` for `--compare` (default 10%).
-    tolerance: f64,
     /// `repro run --checkpoint-every <secs>`: checkpoint grid interval.
     checkpoint_every: Option<f64>,
     /// `repro run --ckpt <dir>`: where checkpoint files land.
@@ -129,13 +110,10 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         scn: None,
         ids: Vec::new(),
         list: false,
-        bench: false,
         trace: None,
         trace_filter: Vec::new(),
         series: None,
         series_every: None,
-        compare: None,
-        tolerance: 10.0,
         checkpoint_every: None,
         ckpt_dir: None,
         resume: None,
@@ -147,16 +125,14 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         max_steps: None,
     };
     let run_mode = args.first().map(String::as_str) == Some("run");
-    let bench_mode = args.first().map(String::as_str) == Some("bench");
     let resume_mode = args.first().map(String::as_str) == Some("resume");
     let explore_mode = args.first().map(String::as_str) == Some("explore");
-    cli.bench = bench_mode;
-    let mut i = usize::from(run_mode || bench_mode || resume_mode || explore_mode);
+    let mut i = usize::from(run_mode || resume_mode || explore_mode);
     while i < args.len() {
         let a = args[i].as_str();
         match a {
             "--quick" => cli.quality = Quality::Quick,
-            "--paper" | "--full" => cli.quality = Quality::Paper,
+            "--paper" => cli.quality = Quality::Paper,
             "--paper-lite" => cli.quality = Quality::PaperLite,
             "--test" => cli.quality = Quality::Test,
             "--json" => cli.json = true,
@@ -191,29 +167,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                     .get(i)
                     .ok_or_else(|| "--series needs a file".to_string())?;
                 cli.series = Some(PathBuf::from(f));
-            }
-            "--compare" if bench_mode => {
-                let old = args
-                    .get(i + 1)
-                    .ok_or_else(|| "--compare needs two bench files".to_string())?;
-                let new = args
-                    .get(i + 2)
-                    .ok_or_else(|| "--compare needs two bench files".to_string())?;
-                cli.compare = Some((PathBuf::from(old), PathBuf::from(new)));
-                i += 2;
-            }
-            "--tolerance" if bench_mode => {
-                i += 1;
-                let pct = args
-                    .get(i)
-                    .ok_or_else(|| "--tolerance needs a percentage".to_string())?;
-                let pct: f64 = pct
-                    .parse()
-                    .map_err(|_| format!("bad --tolerance value {pct}"))?;
-                if pct < 0.0 || !pct.is_finite() {
-                    return Err("--tolerance must be a non-negative percentage".into());
-                }
-                cli.tolerance = pct;
             }
             "--series-every" if run_mode || resume_mode => {
                 i += 1;
@@ -285,8 +238,8 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                     cli.max_steps = Some(parsed);
                 }
             }
-            "list" if !run_mode && !bench_mode && !resume_mode && !explore_mode => cli.list = true,
-            "all" if !run_mode && !bench_mode && !resume_mode && !explore_mode => {
+            "list" if !run_mode && !resume_mode && !explore_mode => cli.list = true,
+            "all" if !run_mode && !resume_mode && !explore_mode => {
                 cli.ids.extend(all().iter().map(|e| e.id.to_string()))
             }
             other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
@@ -308,7 +261,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                 }
                 cli.explore = Some(PathBuf::from(other));
             }
-            other if bench_mode => return Err(format!("bench takes no positional arg {other}")),
             other => cli.ids.push(other.to_string()),
         }
         i += 1;
@@ -365,9 +317,6 @@ fn main() -> ExitCode {
             println!("{:width$}  {}", e.id, e.title);
         }
         return ExitCode::SUCCESS;
-    }
-    if cli.bench {
-        return run_bench(&cli);
     }
     if let Some(dir) = &cli.out_dir {
         // Probe actual writability up front (a read-only volume passes
@@ -431,64 +380,6 @@ fn persist(dir: &Path, id: &str, title: &str, out: &Output, json: bool) -> std::
         std::fs::write(dir.join(format!("{id}.csv")), out.to_csv())?;
     }
     Ok(())
-}
-
-/// `repro bench`: time the canonical grid and print/persist the document,
-/// or (`--compare`) diff two checked-in documents and gate on regressions.
-fn run_bench(cli: &Cli) -> ExitCode {
-    if let Some((old_path, new_path)) = &cli.compare {
-        return run_compare(old_path, new_path, cli.tolerance);
-    }
-    let quick = cli.quality == Quality::Quick || cli.quality == Quality::Test;
-    eprintln!(
-        "benching the {} grid (wall-clock figures, not reproducible)...",
-        if quick { "quick" } else { "full" }
-    );
-    let started = std::time::Instant::now();
-    let cells = bench_grid(quick);
-    let fork = bench_fork_sweep(quick);
-    let json = bench_json(&git_rev(), &cells, Some(&fork));
-    print!("{json}");
-    if let Some(out) = &cli.out_dir {
-        // For bench, --out names the output *file*, not a directory.
-        if let Err(e) = std::fs::write(out, &json) {
-            eprintln!("cannot write {}: {e}", out.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    eprintln!("  done in {:.1?}", started.elapsed());
-    ExitCode::SUCCESS
-}
-
-/// `repro bench --compare`: per-cell delta table; nonzero exit on any
-/// regression beyond the tolerance. Grid drift (cells present in only
-/// one document) is reported separately and never fails the gate — only
-/// cells present in both grids carry a throughput verdict.
-fn run_compare(old_path: &Path, new_path: &Path, tolerance: f64) -> ExitCode {
-    let load = |path: &Path| -> Result<(String, Vec<_>, Option<_>), String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        parse_bench(&text).map_err(|e| format!("{}: {e}", path.display()))
-    };
-    let ((old_rev, old, old_fork), (new_rev, new, new_fork)) =
-        match (load(old_path), load(new_path)) {
-            (Ok(o), Ok(n)) => (o, n),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    eprintln!("comparing {old_rev} -> {new_rev}");
-    let deltas = compare(&old, &new, tolerance);
-    print!("{}", render_compare(&deltas, tolerance));
-    print!("{}", render_drift(&deltas));
-    print!("{}", render_fork_line(old_fork.as_ref(), new_fork.as_ref()));
-    if deltas.iter().any(|d| d.regressed) {
-        eprintln!("FAIL: at least one cell regressed more than {tolerance}%");
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
 }
 
 /// `repro run <file.scn>`: parse, validate, execute, print `RunStats` JSON.
@@ -1017,8 +908,6 @@ fn usage() {
          \x20                [--trace <file>] [--series <file>] [--series-every <secs>]\n\
          \x20      repro explore <file.scn|file.ckpt> [--warm <secs>] [--until <secs>]\n\
          \x20                [--max-interleavings <n>] [--max-steps <n>]\n\
-         \x20      repro bench [--quick|--full] [--out <file>]\n\
-         \x20      repro bench --compare <old.json> <new.json> [--tolerance <pct>]\n\
          \x20      repro serve [--store <dir>] [--sock <path>] [--grid <secs>] [--budget <n>]\n\
          \x20      repro submit <file.scn|file.sweep> [--sock <path>]\n\
          \x20                [--test|--quick|--paper-lite|--paper]\n\

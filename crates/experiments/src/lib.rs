@@ -30,7 +30,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod ablations;
-pub mod bench;
 pub mod broadcast;
 pub mod fork;
 pub mod idle_floor;

@@ -12,11 +12,12 @@
 //! Speedup requires actual cores: under `BCP_THREADS=1` (or on a
 //! single-core machine) every row degenerates to the sequential path.
 
-use crate::bench::{grid, GridTier};
 use crate::output::Output;
 use crate::registry::RunCtx;
+use crate::suite::Quality;
 use bcp_net::addr::NodeId;
 use bcp_net::topo::Topology;
+use bcp_sim::time::SimDuration;
 use bcp_simnet::{ModelKind, Scenario, ScenarioBuilder};
 use std::time::Instant;
 
@@ -34,16 +35,27 @@ pub fn sensor_scale(side: usize, seed: u64) -> Scenario {
         .expect("the scale grid is valid")
 }
 
-/// The registered `scale` experiment. The node×shard sweep comes from
-/// [`grid`] — the same table `repro bench` runs, so the two can't drift.
+/// The node×shard sweep at quality `q`: grid sides (nodes = side²), shard
+/// counts (1 is the sequential baseline) and simulated seconds per cell.
+fn sweep(q: Quality) -> (&'static [usize], &'static [usize], u64) {
+    match q {
+        Quality::Test => (&[16], &[1, 2, 4], 5),
+        Quality::Quick => (&[24, 32], &[1, 2, 4, 8], 20),
+        Quality::PaperLite | Quality::Paper => (&[32, 45], &[1, 2, 4, 8], 60),
+    }
+}
+
+/// The registered `scale` experiment.
 pub fn scale(ctx: &RunCtx) -> Output {
-    let g = grid(GridTier::for_scale(ctx.quality));
+    let (sides, shard_counts, duration_s) = sweep(ctx.quality);
     let mut rows = Vec::new();
-    for &side in g.sides {
+    for &side in sides {
         let mut baseline_eps: Option<f64> = None;
         let mut baseline_delivered: Option<u64> = None;
-        for &shards in g.shard_counts {
-            let scen = g.scenario(side, shards, 1);
+        for &shards in shard_counts {
+            let scen = sensor_scale(side, 1)
+                .with_duration(SimDuration::from_secs(duration_s))
+                .with_shards(shards);
             let t = Instant::now();
             let stats = scen.run();
             let wall = t.elapsed().as_secs_f64().max(1e-9);
@@ -88,10 +100,7 @@ pub fn scale(ctx: &RunCtx) -> Output {
         .to_vec(),
         rows,
         notes: vec![
-            format!(
-                "sensor-model convergecast, {} s simulated, n/10 senders at 2 Kbps",
-                g.duration_s
-            ),
+            format!("sensor-model convergecast, {duration_s} s simulated, n/10 senders at 2 Kbps"),
             format!(
                 "worker pool: {} threads (override with BCP_THREADS); speedup needs real cores",
                 bcp_sim::threads::worker_count(usize::MAX)
@@ -114,7 +123,17 @@ mod tests {
         assert_eq!(s.model, ModelKind::Sensor);
     }
 
-    use crate::suite::Quality;
+    #[test]
+    fn sweep_tiers_keep_their_shapes() {
+        let (sides, shards, secs) = sweep(Quality::Test);
+        assert_eq!(
+            (sides, shards, secs),
+            (&[16usize][..], &[1usize, 2, 4][..], 5)
+        );
+        let (sides, _, _) = sweep(Quality::Paper);
+        assert!(sides.contains(&45), "paper tier reaches 2025 nodes");
+        assert_eq!(sweep(Quality::PaperLite), sweep(Quality::Paper));
+    }
 
     #[test]
     fn scale_experiment_renders_and_agrees() {

@@ -309,6 +309,11 @@ pub fn sweep(hop: Hop, rate_mode: RateMode, q: Quality) -> SweepData {
     data
 }
 
+/// The largest grid a `.sweep` file may expand to. Hundreds of times any
+/// real sweep, and small enough that a hostile `runs` or axis length is
+/// refused instead of exhausting memory in [`SweepSpec::jobs`].
+const MAX_SWEEP_JOBS: usize = 1 << 20;
+
 /// Parses a `.sweep` file into a [`SweepSpec`].
 ///
 /// The format mirrors `.scn`: one `key = value` per line, `#` comments.
@@ -322,8 +327,12 @@ pub fn sweep(hop: Hop, rate_mode: RateMode, q: Quality) -> SweepData {
 /// runs      = 3
 /// duration_s = 600
 /// ```
+///
+/// A grid expands to at most 2^20 jobs (cells × senders × runs).
 pub fn parse_sweep(text: &str) -> Result<SweepSpec, String> {
     let mut spec = SweepSpec::paper_grid(Hop::Single, RateMode::High, Quality::Quick);
+    // The last line that set a grid axis: where an oversized grid is reported.
+    let mut axis_line = 0;
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
@@ -410,6 +419,20 @@ pub fn parse_sweep(text: &str) -> Result<SweepSpec, String> {
             }
             other => return Err(at(format!("unknown key {other:?}"))),
         }
+        if matches!(key, "cells" | "senders" | "runs") {
+            axis_line = lineno + 1;
+        }
+    }
+    let jobs = spec
+        .cells
+        .len()
+        .checked_mul(spec.sender_counts.len())
+        .and_then(|n| n.checked_mul(spec.runs));
+    if jobs.map_or(true, |n| n > MAX_SWEEP_JOBS) {
+        return Err(format!(
+            "line {axis_line}: the grid exceeds the {MAX_SWEEP_JOBS}-job limit \
+             (cells × senders × runs)"
+        ));
     }
     Ok(spec)
 }
@@ -612,6 +635,15 @@ mod tests {
             ("rate = high\nnonsense\n", "line 2"),
             ("duration_s = -5\n", "positive"),
             ("duration_s = 1e11\n", "line 1: duration_s out of range"),
+            ("runs = 99999999\n", "line 1: the grid exceeds"),
+            (
+                "hop = multi\nruns = 18446744073709551615\n",
+                "line 2: the grid exceeds",
+            ),
+            (
+                "cells = sensor\nsenders = 1\nruns = 1048577\n",
+                "line 3: the grid exceeds",
+            ),
         ] {
             let err = parse_sweep(bad).expect_err(bad);
             assert!(err.contains(needle), "{bad:?} -> {err}");

@@ -125,7 +125,8 @@ impl CapacityBattery {
     ///
     /// # Panics
     ///
-    /// Panics unless `v_full > v_cutoff >= v_empty >= 0` and `mah > 0`.
+    /// Panics unless `v_full > v_cutoff >= v_empty >= 0`, `mah > 0` and
+    /// the [usable energy](Self::usable_joules) is finite.
     pub fn from_mah(mah: f64, v_full: f64, v_cutoff: f64, v_empty: f64) -> Self {
         assert!(mah > 0.0, "capacity must be positive: {mah} mAh");
         assert!(
@@ -133,8 +134,7 @@ impl CapacityBattery {
             "need v_full > v_cutoff >= v_empty >= 0, got {v_full}/{v_cutoff}/{v_empty}"
         );
         let q_rated_c = mah * 3.6; // mAh → coulombs
-        let q_usable = q_rated_c * (v_full - v_cutoff) / (v_full - v_empty);
-        let usable = Energy::from_joules(q_usable * (v_full + v_cutoff) / 2.0);
+        let usable = Energy::from_joules(Self::usable_joules(mah, v_full, v_cutoff, v_empty));
         CapacityBattery {
             mah,
             q_rated_c,
@@ -144,6 +144,15 @@ impl CapacityBattery {
             usable,
             drawn: Energy::ZERO,
         }
+    }
+
+    /// The energy such a cell delivers before its cutoff: the charge
+    /// above `v_cutoff` on the linear curve at its mean voltage. Callers
+    /// validating untrusted parameters check this is finite before
+    /// calling [`from_mah`](Self::from_mah).
+    pub fn usable_joules(mah: f64, v_full: f64, v_cutoff: f64, v_empty: f64) -> f64 {
+        let q_usable = mah * 3.6 * (v_full - v_cutoff) / (v_full - v_empty);
+        q_usable * (v_full + v_cutoff) / 2.0
     }
 
     /// The rated charge in milliamp-hours (the exact `mah` this cell was

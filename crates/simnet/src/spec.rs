@@ -46,7 +46,7 @@ use bcp_net::loss::LossModel;
 use bcp_net::propagation::PhysModel;
 use bcp_net::routing::RouteWeight;
 use bcp_net::topo::{Position, Topology};
-use bcp_power::{Battery, BatteryModel, PowerConfig};
+use bcp_power::{Battery, BatteryModel, CapacityBattery, PowerConfig};
 use bcp_radio::profile::{
     cabletron, cc2420, lucent_11m, lucent_2m, mica, mica2, micaz, RadioProfile,
 };
@@ -723,6 +723,14 @@ impl ScenarioBuilder {
                     max: self.low_profile.max_payload.min(bcp.frame_payload),
                 });
             }
+            if n.checked_mul(self.packet_bytes).is_none() {
+                return Err(SpecError::InvalidBcp {
+                    reason: format!(
+                        "burst_packets {n} × packet_bytes {} overflows",
+                        self.packet_bytes
+                    ),
+                });
+            }
             bcp = bcp.with_burst_packets(n, self.packet_bytes);
         }
         let max_packet = self.low_profile.max_payload.min(bcp.frame_payload);
@@ -1239,8 +1247,23 @@ fn emit_topo(t: &Topology) -> String {
     format!("points:{pts}")
 }
 
+/// The largest topology a `.scn` file may describe. Far above any
+/// simulated world (the shipped specs top out at 2025 nodes), and small
+/// enough that a hostile `grid:`/`line:` size fails here instead of
+/// aborting the process in an allocation.
+const MAX_NODES: usize = 1 << 20;
+
 fn parse_topo(value: &str, line: usize) -> Result<Topology, SpecError> {
     let bad = |reason: String| SpecError::Parse { line, reason };
+    // A generator's `n` nodes (`None` on overflow) must fit the limit, and
+    // its farthest node, `(n - 1) · spacing` out, a finite coordinate.
+    let fits = |n: Option<usize>, spacing: f64| match n {
+        Some(n) if n <= MAX_NODES && ((n - 1) as f64 * spacing).is_finite() => Ok(()),
+        Some(n) if n <= MAX_NODES => Err(bad(format!(
+            "`{value}` places nodes at non-finite coordinates"
+        ))),
+        _ => Err(bad(format!("`{value}` exceeds the {MAX_NODES}-node limit"))),
+    };
     if let Some(rest) = value.strip_prefix("grid:") {
         let (side, spacing) = rest
             .split_once(':')
@@ -1250,6 +1273,7 @@ fn parse_topo(value: &str, line: usize) -> Result<Topology, SpecError> {
         if side == 0 {
             return Err(bad("grid side must be positive".into()));
         }
+        fits(side.checked_mul(side), spacing)?;
         Ok(Topology::grid(side, spacing))
     } else if let Some(rest) = value.strip_prefix("line:") {
         let (n, spacing) = rest
@@ -1260,6 +1284,7 @@ fn parse_topo(value: &str, line: usize) -> Result<Topology, SpecError> {
         if n == 0 {
             return Err(bad("line length must be positive".into()));
         }
+        fits(Some(n), spacing)?;
         Ok(Topology::line(n, spacing))
     } else if let Some(rest) = value.strip_prefix("points:") {
         let mut positions = Vec::new();
@@ -1267,7 +1292,14 @@ fn parse_topo(value: &str, line: usize) -> Result<Topology, SpecError> {
             let (x, y) = pt
                 .split_once(',')
                 .ok_or_else(|| bad(format!("expected `<x>,<y>`, got `{pt}`")))?;
-            positions.push(Position::new(p_f64(x, line)?, p_f64(y, line)?));
+            let (x, y) = (p_f64(x, line)?, p_f64(y, line)?);
+            if !(x.is_finite() && y.is_finite()) {
+                return Err(bad(format!("point `{pt}` is not a finite coordinate")));
+            }
+            if positions.len() == MAX_NODES {
+                return Err(bad(format!("points exceed the {MAX_NODES}-node limit")));
+            }
+            positions.push(Position::new(x, y));
         }
         Ok(Topology::from_positions(positions))
     } else {
@@ -1596,6 +1628,9 @@ fn parse_battery(value: &str, line: usize) -> Result<Battery, SpecError> {
             return Err(bad(format!(
                 "need v_full > v_cutoff >= v_empty >= 0, got {v_full}/{v_cutoff}/{v_empty}"
             )));
+        }
+        if !CapacityBattery::usable_joules(mah, v_full, v_cutoff, v_empty).is_finite() {
+            return Err(bad(format!("battery `{value}` holds a non-finite energy")));
         }
         return Ok(Battery::from_mah(mah, v_full, v_cutoff, v_empty));
     }

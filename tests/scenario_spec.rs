@@ -370,6 +370,8 @@ fn rejects_incoherent_bcp_parameters() {
     let err = valid().bcp(bcp).build().unwrap_err();
     assert!(matches!(err, SpecError::InvalidBcp { .. }), "{err}");
     assert!(err.to_string().contains("wakeup_attempts"));
+    let err = valid().burst_packets(usize::MAX).build().unwrap_err();
+    assert!(err.to_string().contains("overflows"), "{err}");
 }
 
 #[test]
@@ -534,6 +536,40 @@ fn rejects_malformed_files_with_line_numbers() {
     let err = parse_spec("senders = auto:5\nshards = many\n").unwrap_err();
     assert!(matches!(err, SpecError::Parse { line: 2, .. }), "{err:?}");
     assert!(err.to_string().starts_with("line 2:"));
+    // Values that would abort the process (an allocation of side² nodes,
+    // a NaN sort key in the partitioner, an infinite battery) are parse
+    // errors.
+    let points_beyond_limit = format!(
+        "seed = 1\ntopo = points:{}\n",
+        vec!["0,0"; (1 << 20) + 1].join(";")
+    );
+    for (text, needle) in [
+        ("seed = 1\ntopo = grid:99999999:40\n", "node limit"),
+        ("seed = 1\ntopo = grid:4294967296:40\n", "node limit"),
+        ("seed = 1\ntopo = grid:1025:40\n", "node limit"),
+        ("seed = 1\ntopo = line:1048577:40\n", "node limit"),
+        (
+            "seed = 1\ntopo = points:NaN,0;0,0;40,0\n",
+            "not a finite coordinate",
+        ),
+        (
+            "seed = 1\ntopo = points:0,0;inf,0\n",
+            "not a finite coordinate",
+        ),
+        ("seed = 1\ntopo = grid:4:1e308\n", "non-finite coordinates"),
+        (
+            "seed = 1\nbattery = mah:1.4:1e308:1.8:1.6\n",
+            "non-finite energy",
+        ),
+        (points_beyond_limit.as_str(), "node limit"),
+    ] {
+        let err = parse_spec(text).unwrap_err();
+        assert!(
+            matches!(err, SpecError::Parse { line: 2, .. }),
+            "{text}: {err:?}"
+        );
+        assert!(err.to_string().contains(needle), "{text}: {err}");
+    }
 }
 
 #[test]

@@ -94,7 +94,9 @@ mod tests {
     use bcp_simnet::ModelKind;
 
     fn base(model: ModelKind) -> Scenario {
-        Scenario::single_hop(model, 5, 10, 3).with_duration(SimDuration::from_secs(60))
+        let mut s = Scenario::single_hop(model, 5, 10, 3);
+        s.duration = SimDuration::from_secs(60);
+        s
     }
 
     fn cold(base: &Scenario, cap: f64) -> RunStats {

@@ -53,9 +53,9 @@ pub fn scale(ctx: &RunCtx) -> Output {
         let mut baseline_eps: Option<f64> = None;
         let mut baseline_delivered: Option<u64> = None;
         for &shards in shard_counts {
-            let scen = sensor_scale(side, 1)
-                .with_duration(SimDuration::from_secs(duration_s))
-                .with_shards(shards);
+            let mut scen = sensor_scale(side, 1);
+            scen.duration = SimDuration::from_secs(duration_s);
+            scen.shards = shards;
             let t = Instant::now();
             let stats = scen.run();
             let wall = t.elapsed().as_secs_f64().max(1e-9);

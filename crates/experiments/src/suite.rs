@@ -563,9 +563,11 @@ mod tests {
         // pool. The observable contract here is order-preserving results
         // that match the sequential runs exactly.
         let mk = |seed| {
-            Scenario::single_hop(ModelKind::Sensor, 3, 10, seed)
-                .with_duration(SimDuration::from_secs(30))
-                .with_shards(4)
+            ScenarioBuilder::single_hop(ModelKind::Sensor, 3, 10, seed)
+                .duration(SimDuration::from_secs(30))
+                .shards(4)
+                .build()
+                .expect("valid")
         };
         let parallel = run_parallel(vec![mk(1), mk(2)]);
         assert_eq!(parallel.len(), 2);

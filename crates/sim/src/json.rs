@@ -115,12 +115,21 @@ impl Value {
     }
 }
 
+/// How many arrays/objects [`parse`] lets nest: about ten times the
+/// deepest document this workspace writes (a serve `done` line is ~6
+/// levels). Deeper input is an error, so a hostile line cannot overflow
+/// the recursive parser's stack.
+const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document (the reverse of this module's emitters, used by
-/// round-trip tests and the NDJSON tooling). Rejects trailing garbage.
+/// round-trip tests, the NDJSON tooling and the serve protocol). Rejects
+/// trailing garbage and nesting deeper than 64 levels; runs in time linear
+/// in the input.
 pub fn parse(s: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -134,6 +143,8 @@ pub fn parse(s: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -175,8 +186,22 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true", Value::Bool(true)),
             Some(b'f') => self.eat_lit("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -237,13 +262,18 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().expect("nonempty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // go. Both are ASCII, so the run ends on a char boundary
+                    // and multi-byte sequences pass through unchanged.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| "invalid UTF-8 in string")?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -361,5 +391,9 @@ mod tests {
         for bad in ["{", "[1,", "{\"a\" 1}", "tru", "1 2", "{\"a\":}", ""] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok(), "the limit itself parses");
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
     }
 }

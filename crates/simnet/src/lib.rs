@@ -16,7 +16,7 @@
 //!   routing, the shared media and the BCP machines together.
 //! * [`metrics::RunStats`] — goodput, normalized energy (J/Kbit) and mean
 //!   delay, exactly as the paper defines them — plus, when the scenario
-//!   provisions finite batteries ([`scenario::Scenario::with_battery`]),
+//!   provisions finite batteries ([`spec::ScenarioBuilder::battery`]),
 //!   the lifetime measures `time_to_first_death_s`,
 //!   `time_to_partition_s` and `delivered_before_first_death`.
 //!
@@ -37,11 +37,13 @@
 //! seconds):
 //!
 //! ```
-//! use bcp_simnet::{ModelKind, Scenario};
+//! use bcp_simnet::{ModelKind, ScenarioBuilder};
 //! use bcp_sim::time::SimDuration;
 //!
-//! let stats = Scenario::single_hop(ModelKind::DualRadio, 5, 100, 1)
-//!     .with_duration(SimDuration::from_secs(60))
+//! let stats = ScenarioBuilder::single_hop(ModelKind::DualRadio, 5, 100, 1)
+//!     .duration(SimDuration::from_secs(60))
+//!     .build()
+//!     .expect("valid scenario")
 //!     .run();
 //! assert!(stats.goodput > 0.0 && stats.goodput <= 1.0);
 //! ```

@@ -7,7 +7,7 @@ use bcp_net::loss::LossModel;
 use bcp_net::propagation::PhysModel;
 use bcp_net::routing::RouteWeight;
 use bcp_net::topo::Topology;
-use bcp_power::{Battery, PowerConfig};
+use bcp_power::PowerConfig;
 use bcp_radio::profile::RadioProfile;
 use bcp_sim::rng::Rng;
 use bcp_sim::time::{SimDuration, SimTime};
@@ -63,11 +63,10 @@ pub enum WorkloadKind {
 
 /// Full parameterisation of one simulation run.
 ///
-/// Prefer constructing scenarios through the validating
-/// [`ScenarioBuilder`](crate::spec::ScenarioBuilder) (or a `.scn` file via
-/// [`parse_spec`](crate::spec::parse_spec)); the `with_*` setters below
-/// mutate without validation and exist for backwards compatibility and
-/// tests that deliberately build broken configurations.
+/// Plain data: build one through the validating
+/// [`ScenarioBuilder`](crate::spec::ScenarioBuilder) or a `.scn` file via
+/// [`parse_spec`](crate::spec::parse_spec), then assign fields directly
+/// to tweak it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Which stack the nodes run.
@@ -198,7 +197,8 @@ impl Scenario {
 
     /// The paper's **multi-hop** scenario: Cabletron reaches the central
     /// sink in one hop while the sensor radio needs several; 2 Kbps default
-    /// (0.2 Kbps via [`with_rate`](Self::with_rate)).
+    /// (0.2 Kbps via
+    /// [`ScenarioBuilder::rate_bps`](crate::spec::ScenarioBuilder::rate_bps)).
     ///
     /// # Panics
     ///
@@ -213,18 +213,6 @@ impl Scenario {
         crate::spec::ScenarioBuilder::multi_hop(model, n_senders, burst_packets, seed)
             .build()
             .expect("the paper's multi-hop preset is a valid scenario")
-    }
-
-    /// Overrides the per-sender rate (builder style).
-    pub fn with_rate(mut self, rate_bps: f64) -> Self {
-        self.rate_bps = rate_bps;
-        self
-    }
-
-    /// Overrides the arrival process.
-    pub fn with_workload(mut self, workload: WorkloadKind) -> Self {
-        self.workload = workload;
-        self
     }
 
     /// The scenario's application flows as `(source, destination)` pairs:
@@ -267,92 +255,6 @@ impl Scenario {
                 )
             }
         }
-    }
-
-    /// Overrides the traffic pattern *and* re-derives `senders` from it
-    /// (builder style; prefer
-    /// [`ScenarioBuilder::traffic`](crate::spec::ScenarioBuilder::traffic),
-    /// which validates the pattern against the topology first).
-    pub fn with_pattern(mut self, pattern: TrafficPattern) -> Self {
-        self.pattern = pattern;
-        match pattern {
-            TrafficPattern::Converge => {}
-            TrafficPattern::Broadcast { source } => self.senders = vec![source],
-            TrafficPattern::Gossip { .. } => {
-                self.senders = self.flows().into_iter().map(|(s, _)| s).collect()
-            }
-        }
-        self
-    }
-
-    /// Overrides the simulated duration.
-    pub fn with_duration(mut self, d: SimDuration) -> Self {
-        self.duration = d;
-        self
-    }
-
-    /// Overrides the loss models.
-    pub fn with_loss(mut self, low: LossModel, high: LossModel) -> Self {
-        self.loss_low = low;
-        self.loss_high = high;
-        self
-    }
-
-    /// Overrides the physical link model (builder style; prefer
-    /// [`ScenarioBuilder::phys`](crate::spec::ScenarioBuilder::phys),
-    /// which validates the parameters).
-    pub fn with_phys(mut self, phys: PhysModel) -> Self {
-        self.phys = phys;
-        self
-    }
-
-    /// Overrides the high-radio routing mode.
-    pub fn with_high_route(mut self, mode: HighRoute) -> Self {
-        self.high_route = mode;
-        self
-    }
-
-    /// Overrides the low radio's sleep schedule (builder style; prefer
-    /// [`ScenarioBuilder::low_sleep`](crate::spec::ScenarioBuilder::low_sleep),
-    /// which validates the schedule's invariants).
-    pub fn with_low_sleep(mut self, schedule: SleepSchedule) -> Self {
-        self.low_sleep = schedule;
-        self
-    }
-
-    /// Stops traffic generation at `cutoff` and flushes BCP buffers then.
-    pub fn with_traffic_cutoff(mut self, cutoff: SimDuration, flush: bool) -> Self {
-        self.traffic_cutoff = Some(cutoff);
-        self.flush_at_cutoff = flush;
-        self
-    }
-
-    /// Gives every non-sink node a copy of `battery` (the sink stays
-    /// mains-powered; use [`with_power`](Self::with_power) for full
-    /// control).
-    pub fn with_battery(mut self, battery: Battery) -> Self {
-        self.power = PowerConfig::with_battery(battery);
-        self
-    }
-
-    /// Overrides the whole power configuration.
-    pub fn with_power(mut self, power: PowerConfig) -> Self {
-        self.power = power;
-        self
-    }
-
-    /// Overrides the route weight (e.g. max–min residual energy).
-    pub fn with_route_weight(mut self, weight: RouteWeight) -> Self {
-        self.route_weight = weight;
-        self
-    }
-
-    /// Splits the world into `shards` spatial strips for multi-core
-    /// execution (clamped to the node count at build time). Results are
-    /// bit-identical for every value.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
     }
 
     /// The link turnaround latency of a radio class.
@@ -419,22 +321,22 @@ mod tests {
 
     #[test]
     fn workload_templates_preserve_mean_rate() {
-        let s = Scenario::single_hop(ModelKind::DualRadio, 5, 100, 1)
-            .with_rate(1_000.0)
-            .with_workload(WorkloadKind::BurstyAudio {
-                mean_on_s: 2.0,
-                mean_off_s: 8.0,
-            });
+        let mut s = Scenario::single_hop(ModelKind::DualRadio, 5, 100, 1);
+        s.rate_bps = 1_000.0;
+        s.workload = WorkloadKind::BurstyAudio {
+            mean_on_s: 2.0,
+            mean_off_s: 8.0,
+        };
         let w = s.make_workload(7);
         assert!(
             (w.mean_rate_bps() - 1_000.0).abs() < 1e-6,
             "duty-cycle compensation keeps the offered load: {}",
             w.mean_rate_bps()
         );
-        let cbr = s.clone().with_workload(WorkloadKind::Cbr).make_workload(7);
-        assert!((cbr.mean_rate_bps() - 1_000.0).abs() < 1e-6);
-        let poisson = s.with_workload(WorkloadKind::Poisson).make_workload(7);
-        assert!((poisson.mean_rate_bps() - 1_000.0).abs() < 1e-6);
+        for workload in [WorkloadKind::Cbr, WorkloadKind::Poisson] {
+            s.workload = workload;
+            assert!((s.make_workload(7).mean_rate_bps() - 1_000.0).abs() < 1e-6);
+        }
     }
 
     #[test]
@@ -443,18 +345,14 @@ mod tests {
         assert_eq!(s.bcp.threshold_bytes, 16_000);
         assert_eq!(s.high_profile.name, "Lucent (11Mbps)");
         assert_eq!(s.high_profile.range_m, 40.0);
-        let m = Scenario::multi_hop(ModelKind::Sensor, 5, 10, 1).with_rate(200.0);
+        let m = Scenario::multi_hop(ModelKind::Sensor, 5, 10, 1);
         assert_eq!(m.high_profile.name, "Cabletron");
-        assert_eq!(m.rate_bps, 200.0);
     }
 
     #[test]
     fn shard_and_latency_knobs() {
-        let s = Scenario::single_hop(ModelKind::Sensor, 1, 10, 1);
+        let mut s = Scenario::single_hop(ModelKind::Sensor, 1, 10, 1);
         assert_eq!(s.shards, 1, "sequential by default");
-        assert_eq!(s.with_shards(0).shards, 1, "zero clamps to one");
-        let mut s = Scenario::single_hop(ModelKind::Sensor, 1, 10, 1).with_shards(4);
-        assert_eq!(s.shards, 4);
         // The lookahead floor: even a misconfigured zero latency stays
         // positive.
         s.link_latency_low = SimDuration::from_nanos(0);

@@ -335,33 +335,11 @@ enum SenderSpec {
 /// typed [`SpecError`] instead of a runtime panic.
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
-    model: ModelKind,
-    topo: Topology,
-    sink: NodeId,
-    pattern: TrafficPattern,
+    /// The scenario under construction; `senders` and (with
+    /// `burst_packets`) `bcp.threshold_bytes` are filled in by `build()`.
+    s: Scenario,
     senders: SenderSpec,
-    low_profile: RadioProfile,
-    low_sleep: SleepSchedule,
-    high_profile: RadioProfile,
-    rate_bps: f64,
-    workload: WorkloadKind,
-    packet_bytes: usize,
-    duration: SimDuration,
-    bcp: BcpConfig,
     burst_packets: Option<usize>,
-    loss_low: LossModel,
-    loss_high: LossModel,
-    phys: PhysModel,
-    high_route: HighRoute,
-    off_linger: SimDuration,
-    traffic_cutoff: Option<SimDuration>,
-    flush_at_cutoff: bool,
-    power: PowerConfig,
-    route_weight: RouteWeight,
-    shards: usize,
-    link_latency_low: SimDuration,
-    link_latency_high: SimDuration,
-    seed: u64,
 }
 
 impl Default for ScenarioBuilder {
@@ -375,35 +353,38 @@ impl ScenarioBuilder {
     pub fn new() -> Self {
         let (topo, sink) = Scenario::paper_grid();
         ScenarioBuilder {
-            model: ModelKind::DualRadio,
-            topo,
-            sink,
-            pattern: TrafficPattern::Converge,
+            s: Scenario {
+                model: ModelKind::DualRadio,
+                topo,
+                sink,
+                pattern: TrafficPattern::Converge,
+                senders: Vec::new(),
+                low_profile: micaz(),
+                low_sleep: SleepSchedule::AlwaysOn,
+                high_profile: lucent_11m(),
+                rate_bps: 2_000.0,
+                workload: WorkloadKind::Cbr,
+                packet_bytes: 32,
+                duration: SimDuration::from_secs(5_000),
+                bcp: BcpConfig::paper_defaults(),
+                loss_low: LossModel::Perfect,
+                loss_high: LossModel::Perfect,
+                phys: PhysModel::Disk,
+                high_route: HighRoute::Tree,
+                off_linger: SimDuration::from_millis(5),
+                traffic_cutoff: None,
+                flush_at_cutoff: false,
+                power: PowerConfig::unlimited(),
+                route_weight: RouteWeight::ShortestHop,
+                shards: 1,
+                // See Scenario::single_hop for the latency rationale: a
+                // fifth of a CSMA slot / of an 802.11 slot.
+                link_latency_low: SimDuration::from_micros(64),
+                link_latency_high: SimDuration::from_micros(4),
+                seed: 1,
+            },
             senders: SenderSpec::Explicit(Vec::new()),
-            low_profile: micaz(),
-            low_sleep: SleepSchedule::AlwaysOn,
-            high_profile: lucent_11m(),
-            rate_bps: 2_000.0,
-            workload: WorkloadKind::Cbr,
-            packet_bytes: 32,
-            duration: SimDuration::from_secs(5_000),
-            bcp: BcpConfig::paper_defaults(),
             burst_packets: None,
-            loss_low: LossModel::Perfect,
-            loss_high: LossModel::Perfect,
-            phys: PhysModel::Disk,
-            high_route: HighRoute::Tree,
-            off_linger: SimDuration::from_millis(5),
-            traffic_cutoff: None,
-            flush_at_cutoff: false,
-            power: PowerConfig::unlimited(),
-            route_weight: RouteWeight::ShortestHop,
-            shards: 1,
-            // See Scenario::single_hop for the latency rationale: a fifth
-            // of a CSMA slot / of an 802.11 slot.
-            link_latency_low: SimDuration::from_micros(64),
-            link_latency_high: SimDuration::from_micros(4),
-            seed: 1,
         }
     }
 
@@ -425,19 +406,19 @@ impl ScenarioBuilder {
 
     /// Which stack the nodes run.
     pub fn model(mut self, model: ModelKind) -> Self {
-        self.model = model;
+        self.s.model = model;
         self
     }
 
     /// Node placement.
     pub fn topology(mut self, topo: Topology) -> Self {
-        self.topo = topo;
+        self.s.topo = topo;
         self
     }
 
     /// The data sink.
     pub fn sink(mut self, sink: NodeId) -> Self {
-        self.sink = sink;
+        self.s.sink = sink;
         self
     }
 
@@ -447,7 +428,7 @@ impl ScenarioBuilder {
     /// [`senders`](Self::senders)/[`senders_auto`](Self::senders_auto) is
     /// a build error.
     pub fn traffic(mut self, pattern: TrafficPattern) -> Self {
-        self.pattern = pattern;
+        self.s.pattern = pattern;
         self
     }
 
@@ -467,7 +448,7 @@ impl ScenarioBuilder {
 
     /// Low-power radio profile.
     pub fn low_profile(mut self, p: RadioProfile) -> Self {
-        self.low_profile = p;
+        self.s.low_profile = p;
         self
     }
 
@@ -476,44 +457,44 @@ impl ScenarioBuilder {
     /// listening. `build()` checks `sample < wake_interval` and
     /// `preamble >= wake_interval`.
     pub fn low_sleep(mut self, schedule: SleepSchedule) -> Self {
-        self.low_sleep = schedule;
+        self.s.low_sleep = schedule;
         self
     }
 
     /// High-power radio profile.
     pub fn high_profile(mut self, p: RadioProfile) -> Self {
-        self.high_profile = p;
+        self.s.high_profile = p;
         self
     }
 
     /// Per-sender offered load in bits per second.
     pub fn rate_bps(mut self, rate: f64) -> Self {
-        self.rate_bps = rate;
+        self.s.rate_bps = rate;
         self
     }
 
     /// Arrival process of each sender.
     pub fn workload(mut self, w: WorkloadKind) -> Self {
-        self.workload = w;
+        self.s.workload = w;
         self
     }
 
     /// Application packet payload in bytes.
     pub fn packet_bytes(mut self, bytes: usize) -> Self {
-        self.packet_bytes = bytes;
+        self.s.packet_bytes = bytes;
         self
     }
 
     /// Simulated duration.
     pub fn duration(mut self, d: SimDuration) -> Self {
-        self.duration = d;
+        self.s.duration = d;
         self
     }
 
     /// Full BCP parameter block (replaces any earlier
     /// [`burst_packets`](Self::burst_packets)).
     pub fn bcp(mut self, bcp: BcpConfig) -> Self {
-        self.bcp = bcp;
+        self.s.bcp = bcp;
         self.burst_packets = None;
         self
     }
@@ -527,8 +508,8 @@ impl ScenarioBuilder {
 
     /// Channel loss processes (low radio, high radio).
     pub fn loss(mut self, low: LossModel, high: LossModel) -> Self {
-        self.loss_low = low;
-        self.loss_high = high;
+        self.s.loss_low = low;
+        self.s.loss_high = high;
         self
     }
 
@@ -537,93 +518,98 @@ impl ScenarioBuilder {
     /// log-normal parameters and that both radios have the positive
     /// tx−sensitivity headroom the path-loss calibration needs.
     pub fn phys(mut self, phys: PhysModel) -> Self {
-        self.phys = phys;
+        self.s.phys = phys;
         self
     }
 
     /// High-radio routing mode.
     pub fn high_route(mut self, mode: HighRoute) -> Self {
-        self.high_route = mode;
+        self.s.high_route = mode;
         self
     }
 
     /// Grace period before an idle released high radio powers off.
     pub fn off_linger(mut self, linger: SimDuration) -> Self {
-        self.off_linger = linger;
+        self.s.off_linger = linger;
         self
     }
 
     /// Stops traffic generation at `cutoff`; `flush` empties BCP buffers
     /// then (the prototype's "send exactly N messages" mode).
     pub fn traffic_cutoff(mut self, cutoff: SimDuration, flush: bool) -> Self {
-        self.traffic_cutoff = Some(cutoff);
-        self.flush_at_cutoff = flush;
+        self.s.traffic_cutoff = Some(cutoff);
+        self.s.flush_at_cutoff = flush;
         self
     }
 
     /// Full power configuration.
     pub fn power(mut self, power: PowerConfig) -> Self {
-        self.power = power;
+        self.s.power = power;
         self
     }
 
     /// Every non-sink node gets a copy of `battery` (shorthand for
     /// [`power`](Self::power) with [`PowerConfig::with_battery`]).
     pub fn battery(mut self, battery: Battery) -> Self {
-        self.power = PowerConfig::with_battery(battery);
+        self.s.power = PowerConfig::with_battery(battery);
         self
     }
 
     /// How routes weigh paths.
     pub fn route_weight(mut self, weight: RouteWeight) -> Self {
-        self.route_weight = weight;
+        self.s.route_weight = weight;
         self
     }
 
     /// Multi-core world shards (`0` is treated as `1`; more shards than
     /// nodes is a build error).
     pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+        self.s.shards = shards.max(1);
         self
     }
 
     /// Link turnaround latencies (low radio, high radio); both must stay
     /// positive — they are the conservative engine's lookahead.
     pub fn link_latency(mut self, low: SimDuration, high: SimDuration) -> Self {
-        self.link_latency_low = low;
-        self.link_latency_high = high;
+        self.s.link_latency_low = low;
+        self.s.link_latency_high = high;
         self
     }
 
     /// Master seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.s.seed = seed;
         self
     }
 
     /// Validates everything and produces the scenario.
     pub fn build(self) -> Result<Scenario, SpecError> {
-        let nodes = self.topo.len();
+        let ScenarioBuilder {
+            s,
+            senders: spec,
+            burst_packets,
+        } = self;
+        let nodes = s.topo.len();
         if nodes == 0 {
             return Err(SpecError::EmptyTopology);
         }
-        if self.sink.index() >= nodes {
+        if s.sink.index() >= nodes {
             return Err(SpecError::SinkOutOfRange {
-                sink: self.sink.0,
+                sink: s.sink.0,
                 nodes,
             });
         }
         // Broadcast/gossip own the sender set; an explicit one on top is a
         // contradiction, not an override.
-        let senders_configured = match &self.senders {
+        let senders_configured = match &spec {
             SenderSpec::Auto(_) => true,
             SenderSpec::Explicit(list) => !list.is_empty(),
         };
-        if !self.pattern.is_converge() && senders_configured {
+        if !s.pattern.is_converge() && senders_configured {
             return Err(SpecError::SendersConflictWithTraffic);
         }
-        let senders = match self.pattern {
-            TrafficPattern::Converge => match &self.senders {
+        let senders = match s.pattern {
+            TrafficPattern::Converge => match &spec {
                 SenderSpec::Auto(0) => return Err(SpecError::NoSenders),
                 SenderSpec::Auto(n) => {
                     let available = nodes - 1;
@@ -633,22 +619,25 @@ impl ScenarioBuilder {
                             available,
                         });
                     }
-                    Scenario::pick_senders(&self.topo, self.sink, *n)
+                    Scenario::pick_senders(&s.topo, s.sink, *n)
                 }
                 SenderSpec::Explicit(list) => {
                     if list.is_empty() {
                         return Err(SpecError::NoSenders);
                     }
                     let mut seen = std::collections::HashSet::new();
-                    for &s in list {
-                        if s.index() >= nodes {
-                            return Err(SpecError::SenderOutOfRange { sender: s.0, nodes });
+                    for &id in list {
+                        if id.index() >= nodes {
+                            return Err(SpecError::SenderOutOfRange {
+                                sender: id.0,
+                                nodes,
+                            });
                         }
-                        if s == self.sink {
-                            return Err(SpecError::SenderIsSink { sender: s.0 });
+                        if id == s.sink {
+                            return Err(SpecError::SenderIsSink { sender: id.0 });
                         }
-                        if !seen.insert(s) {
-                            return Err(SpecError::DuplicateSender { sender: s.0 });
+                        if !seen.insert(id) {
+                            return Err(SpecError::DuplicateSender { sender: id.0 });
                         }
                     }
                     list.clone()
@@ -686,21 +675,21 @@ impl ScenarioBuilder {
                         available,
                     });
                 }
-                TrafficPattern::gossip_flows(nodes, self.sink, pairs, seed)
+                TrafficPattern::gossip_flows(nodes, s.sink, pairs, seed)
                     .into_iter()
                     .map(|(s, _)| s)
                     .collect()
             }
         };
-        if !(self.rate_bps.is_finite() && self.rate_bps > 0.0) {
+        if !(s.rate_bps.is_finite() && s.rate_bps > 0.0) {
             return Err(SpecError::InvalidRate {
-                rate_bps: self.rate_bps,
+                rate_bps: s.rate_bps,
             });
         }
         if let WorkloadKind::BurstyAudio {
             mean_on_s,
             mean_off_s,
-        } = self.workload
+        } = s.workload
         {
             for (name, v) in [("mean_on_s", mean_on_s), ("mean_off_s", mean_off_s)] {
                 if !(v.is_finite() && v > 0.0) {
@@ -710,37 +699,37 @@ impl ScenarioBuilder {
                 }
             }
         }
-        let mut bcp = self.bcp;
-        if let Some(n) = self.burst_packets {
+        let mut bcp = s.bcp;
+        if let Some(n) = burst_packets {
             if n == 0 {
                 return Err(SpecError::InvalidBcp {
                     reason: "burst_packets must be positive".into(),
                 });
             }
-            if self.packet_bytes == 0 {
+            if s.packet_bytes == 0 {
                 return Err(SpecError::InvalidPacketBytes {
                     bytes: 0,
-                    max: self.low_profile.max_payload.min(bcp.frame_payload),
+                    max: s.low_profile.max_payload.min(bcp.frame_payload),
                 });
             }
-            if n.checked_mul(self.packet_bytes).is_none() {
+            if n.checked_mul(s.packet_bytes).is_none() {
                 return Err(SpecError::InvalidBcp {
                     reason: format!(
                         "burst_packets {n} × packet_bytes {} overflows",
-                        self.packet_bytes
+                        s.packet_bytes
                     ),
                 });
             }
-            bcp = bcp.with_burst_packets(n, self.packet_bytes);
+            bcp = bcp.with_burst_packets(n, s.packet_bytes);
         }
-        let max_packet = self.low_profile.max_payload.min(bcp.frame_payload);
-        if self.packet_bytes == 0 || self.packet_bytes > max_packet {
+        let max_packet = s.low_profile.max_payload.min(bcp.frame_payload);
+        if s.packet_bytes == 0 || s.packet_bytes > max_packet {
             return Err(SpecError::InvalidPacketBytes {
-                bytes: self.packet_bytes,
+                bytes: s.packet_bytes,
                 max: max_packet,
             });
         }
-        if self.duration.is_zero() {
+        if s.duration.is_zero() {
             return Err(SpecError::ZeroDuration);
         }
         if bcp.frame_payload == 0 {
@@ -788,7 +777,7 @@ impl ScenarioBuilder {
             wake_interval,
             sample,
             preamble,
-        } = self.low_sleep
+        } = s.low_sleep
         {
             if wake_interval.is_zero() {
                 return Err(SpecError::InvalidSleepSchedule {
@@ -813,27 +802,27 @@ impl ScenarioBuilder {
                 });
             }
         }
-        if self.link_latency_low.is_zero() {
+        if s.link_latency_low.is_zero() {
             return Err(SpecError::NonPositiveLinkLatency { class: "low" });
         }
-        if self.link_latency_high.is_zero() {
+        if s.link_latency_high.is_zero() {
             return Err(SpecError::NonPositiveLinkLatency { class: "high" });
         }
-        if self.shards > nodes {
+        if s.shards > nodes {
             return Err(SpecError::TooManyShards {
-                shards: self.shards,
+                shards: s.shards,
                 nodes,
             });
         }
-        let has_battery = self.power.battery.is_some() || !self.power.overrides.is_empty();
-        if self.route_weight == RouteWeight::MaxMinResidual && !has_battery {
+        let has_battery = s.power.battery.is_some() || !s.power.overrides.is_empty();
+        if s.route_weight == RouteWeight::MaxMinResidual && !has_battery {
             return Err(SpecError::EnergyAwareWithoutBattery);
         }
         if let PhysModel::LogNormal {
             path_loss_exp,
             sigma_db,
             ..
-        } = self.phys
+        } = s.phys
         {
             if !(path_loss_exp.is_finite() && path_loss_exp > 0.0) {
                 return Err(SpecError::InvalidPhys {
@@ -847,7 +836,7 @@ impl ScenarioBuilder {
                     reason: format!("sigma_db must be >= 0 and finite, got {sigma_db}"),
                 });
             }
-            for (class, p) in [("low", &self.low_profile), ("high", &self.high_profile)] {
+            for (class, p) in [("low", &s.low_profile), ("high", &s.high_profile)] {
                 if p.tx_power_dbm <= p.rx_sensitivity_dbm
                     || p.rx_sensitivity_dbm <= p.noise_floor_dbm
                 {
@@ -861,34 +850,7 @@ impl ScenarioBuilder {
                 }
             }
         }
-        Ok(Scenario {
-            model: self.model,
-            topo: self.topo,
-            sink: self.sink,
-            pattern: self.pattern,
-            senders,
-            low_profile: self.low_profile,
-            low_sleep: self.low_sleep,
-            high_profile: self.high_profile,
-            rate_bps: self.rate_bps,
-            workload: self.workload,
-            packet_bytes: self.packet_bytes,
-            duration: self.duration,
-            bcp,
-            loss_low: self.loss_low,
-            loss_high: self.loss_high,
-            phys: self.phys,
-            high_route: self.high_route,
-            off_linger: self.off_linger,
-            traffic_cutoff: self.traffic_cutoff,
-            flush_at_cutoff: self.flush_at_cutoff,
-            power: self.power,
-            route_weight: self.route_weight,
-            shards: self.shards,
-            link_latency_low: self.link_latency_low,
-            link_latency_high: self.link_latency_high,
-            seed: self.seed,
-        })
+        Ok(Scenario { senders, bcp, ..s })
     }
 }
 
@@ -1017,12 +979,11 @@ pub fn emit_spec(s: &Scenario) -> Result<String, SpecError> {
 pub fn parse_spec(text: &str) -> Result<Scenario, SpecError> {
     let mut b = ScenarioBuilder::new();
     // Profiles resolve last so `low_profile` / `low_range_m` may appear in
-    // either order; power assembles from up to four keys.
+    // either order.
     let mut low_key: Option<(String, usize)> = None;
     let mut high_key: Option<(String, usize)> = None;
     let mut low_range: Option<f64> = None;
     let mut high_range: Option<f64> = None;
-    let mut power = PowerConfig::unlimited();
     for (i, raw) in text.lines().enumerate() {
         let line_no = i + 1;
         let line = match raw.find('#') {
@@ -1042,7 +1003,7 @@ pub fn parse_spec(text: &str) -> Result<Scenario, SpecError> {
         let (key, value) = (key.trim(), value.trim());
         match key {
             "model" => {
-                b.model = match value {
+                b.s.model = match value {
                     "sensor" => ModelKind::Sensor,
                     "dot11" => ModelKind::Dot11,
                     "dual_radio" => ModelKind::DualRadio,
@@ -1056,9 +1017,9 @@ pub fn parse_spec(text: &str) -> Result<Scenario, SpecError> {
                     }
                 }
             }
-            "topo" => b.topo = parse_topo(value, line_no)?,
-            "sink" => b.sink = NodeId(p_num::<u32>(value, line_no)?),
-            "traffic" => b.pattern = parse_traffic(value, line_no)?,
+            "topo" => b.s.topo = parse_topo(value, line_no)?,
+            "sink" => b.s.sink = NodeId(p_num::<u32>(value, line_no)?),
+            "traffic" => b.s.pattern = parse_traffic(value, line_no)?,
             "senders" => {
                 b.senders = if let Some(n) = value.strip_prefix("auto:") {
                     SenderSpec::Auto(p_num::<usize>(n, line_no)?)
@@ -1071,40 +1032,40 @@ pub fn parse_spec(text: &str) -> Result<Scenario, SpecError> {
                 }
             }
             "low_profile" => low_key = Some((value.to_string(), line_no)),
-            "low_sleep" => b.low_sleep = parse_sleep(value, line_no)?,
+            "low_sleep" => b.s.low_sleep = parse_sleep(value, line_no)?,
             "high_profile" => high_key = Some((value.to_string(), line_no)),
             "low_range_m" => low_range = Some(p_pos_f64(value, line_no)?),
             "high_range_m" => high_range = Some(p_pos_f64(value, line_no)?),
-            "rate_bps" => b.rate_bps = p_f64(value, line_no)?,
-            "workload" => b.workload = parse_workload(value, line_no)?,
-            "packet_bytes" => b.packet_bytes = p_num::<usize>(value, line_no)?,
-            "duration_s" => b.duration = p_dur(value, line_no)?,
-            "threshold_bytes" => b.bcp.threshold_bytes = p_num::<usize>(value, line_no)?,
-            "frame_payload" => b.bcp.frame_payload = p_num::<usize>(value, line_no)?,
-            "buffer_cap_bytes" => b.bcp.buffer_cap_bytes = p_num::<usize>(value, line_no)?,
-            "wakeup_ack_timeout_s" => b.bcp.wakeup_ack_timeout = p_dur(value, line_no)?,
-            "wakeup_attempts" => b.bcp.wakeup_attempts = p_num::<u32>(value, line_no)?,
-            "receiver_data_timeout_s" => b.bcp.receiver_data_timeout = p_dur(value, line_no)?,
-            "max_burst_bytes" => b.bcp.max_burst_bytes = p_num::<usize>(value, line_no)?,
-            "delay_bound_s" => b.bcp.delay_bound = Some(p_dur(value, line_no)?),
-            "min_grant_bytes" => b.bcp.min_grant_bytes = p_num::<usize>(value, line_no)?,
+            "rate_bps" => b.s.rate_bps = p_f64(value, line_no)?,
+            "workload" => b.s.workload = parse_workload(value, line_no)?,
+            "packet_bytes" => b.s.packet_bytes = p_num::<usize>(value, line_no)?,
+            "duration_s" => b.s.duration = p_dur(value, line_no)?,
+            "threshold_bytes" => b.s.bcp.threshold_bytes = p_num::<usize>(value, line_no)?,
+            "frame_payload" => b.s.bcp.frame_payload = p_num::<usize>(value, line_no)?,
+            "buffer_cap_bytes" => b.s.bcp.buffer_cap_bytes = p_num::<usize>(value, line_no)?,
+            "wakeup_ack_timeout_s" => b.s.bcp.wakeup_ack_timeout = p_dur(value, line_no)?,
+            "wakeup_attempts" => b.s.bcp.wakeup_attempts = p_num::<u32>(value, line_no)?,
+            "receiver_data_timeout_s" => b.s.bcp.receiver_data_timeout = p_dur(value, line_no)?,
+            "max_burst_bytes" => b.s.bcp.max_burst_bytes = p_num::<usize>(value, line_no)?,
+            "delay_bound_s" => b.s.bcp.delay_bound = Some(p_dur(value, line_no)?),
+            "min_grant_bytes" => b.s.bcp.min_grant_bytes = p_num::<usize>(value, line_no)?,
             "burst_packets" => b.burst_packets = Some(p_num::<usize>(value, line_no)?),
-            "loss_low" => b.loss_low = parse_loss(value, line_no)?,
-            "loss_high" => b.loss_high = parse_loss(value, line_no)?,
-            "phys" => b.phys = parse_phys(value, line_no)?,
-            "high_route" => b.high_route = parse_high_route(value, line_no)?,
-            "off_linger_s" => b.off_linger = p_dur(value, line_no)?,
-            "traffic_cutoff_s" => b.traffic_cutoff = Some(p_dur(value, line_no)?),
-            "flush_at_cutoff" => b.flush_at_cutoff = p_bool(value, line_no)?,
+            "loss_low" => b.s.loss_low = parse_loss(value, line_no)?,
+            "loss_high" => b.s.loss_high = parse_loss(value, line_no)?,
+            "phys" => b.s.phys = parse_phys(value, line_no)?,
+            "high_route" => b.s.high_route = parse_high_route(value, line_no)?,
+            "off_linger_s" => b.s.off_linger = p_dur(value, line_no)?,
+            "traffic_cutoff_s" => b.s.traffic_cutoff = Some(p_dur(value, line_no)?),
+            "flush_at_cutoff" => b.s.flush_at_cutoff = p_bool(value, line_no)?,
             "battery" => {
-                power.battery = if value == "none" {
+                b.s.power.battery = if value == "none" {
                     None
                 } else {
                     Some(parse_battery(value, line_no)?)
                 }
             }
-            "sink_unlimited" => power.sink_unlimited = p_bool(value, line_no)?,
-            "reroute_every_s" => power.reroute_every = Some(p_dur(value, line_no)?),
+            "sink_unlimited" => b.s.power.sink_unlimited = p_bool(value, line_no)?,
+            "reroute_every_s" => b.s.power.reroute_every = Some(p_dur(value, line_no)?),
             "node_battery" => {
                 let Some((idx, rest)) = value.split_once(':') else {
                     return Err(SpecError::Parse {
@@ -1114,11 +1075,11 @@ pub fn parse_spec(text: &str) -> Result<Scenario, SpecError> {
                 };
                 let idx = p_num::<usize>(idx, line_no)?;
                 let battery = parse_battery(rest, line_no)?;
-                power.overrides.retain(|(i, _)| *i != idx);
-                power.overrides.push((idx, battery));
+                b.s.power.overrides.retain(|(i, _)| *i != idx);
+                b.s.power.overrides.push((idx, battery));
             }
             "route_weight" => {
-                b.route_weight = match value {
+                b.s.route_weight = match value {
                     "shortest_hop" => RouteWeight::ShortestHop,
                     "max_min_residual" => RouteWeight::MaxMinResidual,
                     other => {
@@ -1132,10 +1093,10 @@ pub fn parse_spec(text: &str) -> Result<Scenario, SpecError> {
                     }
                 }
             }
-            "shards" => b.shards = p_num::<usize>(value, line_no)?.max(1),
-            "link_latency_low_s" => b.link_latency_low = p_dur(value, line_no)?,
-            "link_latency_high_s" => b.link_latency_high = p_dur(value, line_no)?,
-            "seed" => b.seed = p_num::<u64>(value, line_no)?,
+            "shards" => b = b.shards(p_num::<usize>(value, line_no)?),
+            "link_latency_low_s" => b.s.link_latency_low = p_dur(value, line_no)?,
+            "link_latency_high_s" => b.s.link_latency_high = p_dur(value, line_no)?,
+            "seed" => b.s.seed = p_num::<u64>(value, line_no)?,
             other => {
                 return Err(SpecError::Parse {
                     line: line_no,
@@ -1145,18 +1106,17 @@ pub fn parse_spec(text: &str) -> Result<Scenario, SpecError> {
         }
     }
     if let Some((key, line)) = low_key {
-        b.low_profile = profile_by_key(&key, line)?;
+        b.s.low_profile = profile_by_key(&key, line)?;
     }
     if let Some(r) = low_range {
-        b.low_profile = b.low_profile.with_range(r);
+        b.s.low_profile = b.s.low_profile.with_range(r);
     }
     if let Some((key, line)) = high_key {
-        b.high_profile = profile_by_key(&key, line)?;
+        b.s.high_profile = profile_by_key(&key, line)?;
     }
     if let Some(r) = high_range {
-        b.high_profile = b.high_profile.with_range(r);
+        b.s.high_profile = b.s.high_profile.with_range(r);
     }
-    b.power = power;
     b.build()
 }
 
@@ -1707,27 +1667,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_matches_legacy_preset() {
-        let legacy = Scenario::single_hop(ModelKind::DualRadio, 10, 500, 7);
-        let built = ScenarioBuilder::single_hop(ModelKind::DualRadio, 10, 500, 7)
-            .build()
-            .expect("preset is valid");
-        assert_eq!(legacy, built);
-        let legacy_mh = Scenario::multi_hop(ModelKind::Sensor, 5, 10, 3);
-        let built_mh = ScenarioBuilder::multi_hop(ModelKind::Sensor, 5, 10, 3)
-            .build()
-            .expect("preset is valid");
-        assert_eq!(legacy_mh, built_mh);
-    }
-
-    #[test]
     fn emitted_spec_parses_back_identically() {
-        let s = Scenario::multi_hop(ModelKind::DualRadio, 15, 500, 3)
-            .with_rate(200.0)
-            .with_loss(LossModel::bernoulli(0.1), LossModel::Perfect)
-            .with_battery(Battery::aa_pair().scaled(1e-3))
-            .with_route_weight(RouteWeight::MaxMinResidual)
-            .with_shards(4);
+        let s = ScenarioBuilder::multi_hop(ModelKind::DualRadio, 15, 500, 3)
+            .rate_bps(200.0)
+            .loss(LossModel::bernoulli(0.1), LossModel::Perfect)
+            .battery(Battery::aa_pair().scaled(1e-3))
+            .route_weight(RouteWeight::MaxMinResidual)
+            .shards(4)
+            .build()
+            .expect("valid");
         let text = emit_spec(&s).expect("representable");
         let parsed = parse_spec(&text).expect("parses");
         assert_eq!(parsed, s);
@@ -1827,7 +1775,8 @@ mod tests {
                 seed: Some(42),
             },
         ] {
-            let s = Scenario::single_hop(ModelKind::DualRadio, 5, 100, 1).with_phys(phys);
+            let mut s = Scenario::single_hop(ModelKind::DualRadio, 5, 100, 1);
+            s.phys = phys;
             let text = emit_spec(&s).expect("representable");
             let parsed = parse_spec(&text).expect("parses");
             assert_eq!(parsed, s, "{}", emit_phys(&phys));
@@ -1862,10 +1811,8 @@ mod tests {
     fn gilbert_loss_is_always_representable_since_the_state_split() {
         // Before the LossState split, a mid-burst Gilbert–Elliott model
         // made the scenario unrepresentable; now the model is pure config.
-        let s = Scenario::single_hop(ModelKind::DualRadio, 5, 100, 1).with_loss(
-            LossModel::gilbert_elliott(0.1, 0.3, 0.01, 0.5),
-            LossModel::Perfect,
-        );
+        let mut s = Scenario::single_hop(ModelKind::DualRadio, 5, 100, 1);
+        s.loss_low = LossModel::gilbert_elliott(0.1, 0.3, 0.01, 0.5);
         let text = emit_spec(&s).expect("representable");
         assert!(text.contains("loss_low = gilbert:0.1:0.3:0.01:0.5"));
         assert_eq!(parse_spec(&text).expect("parses"), s);

@@ -1109,19 +1109,15 @@ mod tests {
             s.duration = D::from_secs(400);
             s
         };
-        let plain = base
-            .clone()
-            .with_high_route(HighRoute::LowParents {
-                shortcuts: false,
+        let run = |shortcuts| {
+            let mut s = base.clone();
+            s.high_route = HighRoute::LowParents {
+                shortcuts,
                 listen: D::from_millis(200),
-            })
-            .run();
-        let learned = base
-            .with_high_route(HighRoute::LowParents {
-                shortcuts: true,
-                listen: D::from_millis(200),
-            })
-            .run();
+            };
+            s.run()
+        };
+        let (plain, learned) = (run(false), run(true));
         assert!(plain.goodput > 0.8 && learned.goodput > 0.8);
         // Skipping relays means fewer wake-ups in steady state.
         assert!(
@@ -1425,8 +1421,9 @@ mod tests {
         // 500 bps keeps the offered load inside LPL's service rate: each
         // frame costs ~0.1 s of preamble plus up to ~0.19 s of scaled
         // congestion backoff against a 0.512 s interarrival.
-        let always = two_node(ModelKind::Sensor, 10).with_rate(500.0).run();
-        let mut s = two_node(ModelKind::Sensor, 10).with_rate(500.0);
+        let mut s = two_node(ModelKind::Sensor, 10);
+        s.rate_bps = 500.0;
+        let always = s.run();
         s.low_sleep =
             SleepSchedule::lpl(SimDuration::from_millis(100), SimDuration::from_millis(10));
         let lpl = s.run();

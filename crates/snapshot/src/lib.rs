@@ -1671,8 +1671,9 @@ mod tests {
     use bcp_simnet::{ModelKind, Scenario};
 
     fn dual_scenario() -> Scenario {
-        Scenario::single_hop(ModelKind::DualRadio, 2, 60, 11)
-            .with_duration(SimDuration::from_secs(90))
+        let mut s = Scenario::single_hop(ModelKind::DualRadio, 2, 60, 11);
+        s.duration = SimDuration::from_secs(90);
+        s
     }
 
     fn lpl_death_scenario() -> Scenario {

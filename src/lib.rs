@@ -33,7 +33,7 @@
 //! use bcp::analysis::DualRadioLink;
 //! use bcp::radio::profile::{lucent_11m, micaz};
 //! use bcp::sim::time::SimDuration;
-//! use bcp::simnet::{ModelKind, Scenario};
+//! use bcp::simnet::{ModelKind, ScenarioBuilder};
 //!
 //! // 1. Is the high-power radio worth it, and from what burst size?
 //! let link = DualRadioLink::new(micaz(), lucent_11m());
@@ -41,8 +41,10 @@
 //! assert!(s_star < 1024.0); // the paper: "typically low (below 1KB)"
 //!
 //! // 2. Simulate BCP on the paper's grid against the sensor baseline.
-//! let dual = Scenario::single_hop(ModelKind::DualRadio, 5, 500, 1)
-//!     .with_duration(SimDuration::from_secs(300))
+//! let dual = ScenarioBuilder::single_hop(ModelKind::DualRadio, 5, 500, 1)
+//!     .duration(SimDuration::from_secs(300))
+//!     .build()
+//!     .expect("valid scenario")
 //!     .run();
 //! assert!(dual.goodput > 0.5);
 //! ```

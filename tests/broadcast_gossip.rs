@@ -214,9 +214,9 @@ fn gossip_delivers_between_arbitrary_pairs() {
 fn converge_per_flow_stats_sum_to_global() {
     // The flow ledger is not broadcast-specific: the paper's convergecast
     // run carries one flow per sender and the same exact sums.
-    let stats = Scenario::single_hop(ModelKind::DualRadio, 10, 100, 7)
-        .with_duration(SimDuration::from_secs(200))
-        .run();
+    let mut s = Scenario::single_hop(ModelKind::DualRadio, 10, 100, 7);
+    s.duration = SimDuration::from_secs(200);
+    let stats = s.run();
     assert_eq!(stats.metrics.flows.len(), 10, "one flow per sender");
     assert!(stats
         .metrics
@@ -321,7 +321,8 @@ fn broadcast_line_topology_chain_relay() {
     let mut s = broadcast_grid(ModelKind::Sensor, 200, 21);
     s.topo = Topology::line(6, 40.0);
     s.sink = NodeId(0);
-    s = s.with_pattern(TrafficPattern::Broadcast { source: NodeId(0) });
+    s.pattern = TrafficPattern::Broadcast { source: NodeId(0) };
+    s.senders = vec![NodeId(0)];
     let stats = s.run();
     let m = &stats.metrics;
     assert_eq!(m.flows.len(), 5);

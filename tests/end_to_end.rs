@@ -4,10 +4,13 @@
 use bcp::net::addr::NodeId;
 use bcp::net::topo::Topology;
 use bcp::sim::time::SimDuration;
-use bcp::simnet::{ModelKind, RunStats, Scenario};
+use bcp::simnet::{ModelKind, RunStats, Scenario, ScenarioBuilder};
 
 fn small_grid(model: ModelKind, senders: usize, burst: usize, seed: u64) -> Scenario {
-    Scenario::single_hop(model, senders, burst, seed).with_duration(SimDuration::from_secs(300))
+    ScenarioBuilder::single_hop(model, senders, burst, seed)
+        .duration(SimDuration::from_secs(300))
+        .build()
+        .expect("valid")
 }
 
 fn check_global_invariants(stats: &RunStats) {
@@ -140,12 +143,14 @@ fn multi_hop_advantage_over_single_hop() {
     // yet slack enough that benign physics refinements (which moved
     // marginal seeds in past PRs) do not flip it.
     let run = |hop: bool| {
-        let s = if hop {
-            Scenario::multi_hop(ModelKind::DualRadio, 15, 100, 3)
+        let b = if hop {
+            ScenarioBuilder::multi_hop(ModelKind::DualRadio, 15, 100, 3)
         } else {
-            Scenario::single_hop(ModelKind::DualRadio, 15, 100, 3)
+            ScenarioBuilder::single_hop(ModelKind::DualRadio, 15, 100, 3)
         };
-        s.with_duration(SimDuration::from_secs(300))
+        b.duration(SimDuration::from_secs(300))
+            .build()
+            .expect("valid")
             .run()
             .j_per_kbit
     };
@@ -176,7 +181,8 @@ fn traffic_cutoff_and_flush_drain_everything() {
     s.sink = NodeId(0);
     s.senders = vec![NodeId(1)];
     s.duration = SimDuration::from_secs(400);
-    let s = s.with_traffic_cutoff(SimDuration::from_secs(200), true);
+    s.traffic_cutoff = Some(SimDuration::from_secs(200));
+    s.flush_at_cutoff = true;
     let stats = s.run();
     let m = &stats.metrics;
     assert_eq!(

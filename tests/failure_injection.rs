@@ -15,12 +15,17 @@ fn pair(seed: u64) -> Scenario {
     s
 }
 
+fn lossy_pair(seed: u64, low: LossModel, high: LossModel) -> Scenario {
+    let mut s = pair(seed);
+    s.loss_low = low;
+    s.loss_high = high;
+    s
+}
+
 #[test]
 fn lost_wakeups_are_retried() {
     // 30% control-channel loss: handshakes need retries but BCP recovers.
-    let stats = pair(1)
-        .with_loss(LossModel::bernoulli(0.3), LossModel::Perfect)
-        .run();
+    let stats = lossy_pair(1, LossModel::bernoulli(0.3), LossModel::Perfect).run();
     assert!(
         stats.goodput > 0.5,
         "protocol survives lossy handshakes: {}",
@@ -32,9 +37,7 @@ fn lost_wakeups_are_retried() {
 #[test]
 fn lossy_high_channel_costs_energy_not_correctness() {
     let clean = pair(2).run();
-    let lossy = pair(2)
-        .with_loss(LossModel::Perfect, LossModel::bernoulli(0.2))
-        .run();
+    let lossy = lossy_pair(2, LossModel::Perfect, LossModel::bernoulli(0.2)).run();
     // MAC retries push energy per delivered bit up.
     assert!(
         lossy.j_per_kbit > clean.j_per_kbit,
@@ -52,12 +55,12 @@ fn lossy_high_channel_costs_energy_not_correctness() {
 #[test]
 fn bursty_outage_does_not_wedge_the_protocol() {
     // Gilbert-Elliott with brutal bad states on BOTH channels.
-    let stats = pair(3)
-        .with_loss(
-            LossModel::gilbert_elliott(0.02, 0.2, 0.01, 0.9),
-            LossModel::gilbert_elliott(0.05, 0.2, 0.05, 0.95),
-        )
-        .run();
+    let stats = lossy_pair(
+        3,
+        LossModel::gilbert_elliott(0.02, 0.2, 0.01, 0.9),
+        LossModel::gilbert_elliott(0.05, 0.2, 0.05, 0.95),
+    )
+    .run();
     assert!(
         stats.metrics.delivered_packets > 0,
         "some progress through outages"
@@ -96,9 +99,7 @@ fn receiver_buffer_pressure_clamps_grants() {
 fn total_blackout_on_high_channel_loses_data_loudly() {
     // 100% loss on the high radio: every burst frame dies; the MAC gives
     // up after its retries; BCP accounts the packets as dropped.
-    let stats = pair(5)
-        .with_loss(LossModel::Perfect, LossModel::bernoulli(1.0))
-        .run();
+    let stats = lossy_pair(5, LossModel::Perfect, LossModel::bernoulli(1.0)).run();
     assert_eq!(
         stats.metrics.delivered_packets, 0,
         "nothing can get through"
@@ -114,9 +115,7 @@ fn control_blackout_strands_data_but_not_the_simulator() {
     // 100% loss on the LOW radio: wake-ups never arrive, no ack ever
     // comes, the sender retries and gives up forever. No delivery, no
     // wedge, no panic.
-    let stats = pair(6)
-        .with_loss(LossModel::bernoulli(1.0), LossModel::Perfect)
-        .run();
+    let stats = lossy_pair(6, LossModel::bernoulli(1.0), LossModel::Perfect).run();
     assert_eq!(stats.metrics.delivered_packets, 0);
     assert_eq!(
         stats.metrics.radio_wakeups, 0,
@@ -128,9 +127,9 @@ fn control_blackout_strands_data_but_not_the_simulator() {
 #[test]
 fn extreme_contention_many_senders_tiny_bursts() {
     // Worst case for the handshake channel: every node bursts often.
-    let stats = Scenario::single_hop(ModelKind::DualRadio, 35, 10, 7)
-        .with_duration(SimDuration::from_secs(150))
-        .run();
+    let mut s = Scenario::single_hop(ModelKind::DualRadio, 35, 10, 7);
+    s.duration = SimDuration::from_secs(150);
+    let stats = s.run();
     assert!(
         stats.goodput > 0.1,
         "still makes progress: {}",

@@ -66,8 +66,8 @@ fn battery_drain_equals_ledger_totals_across_arbitrary_runs() {
         let secs = rng.range_u64(60, 240);
         let capacity = 2.0 + rng.f64() * 60.0;
         let seed = rng.next_u64();
-        let mut s = Scenario::single_hop(model, senders, burst, seed)
-            .with_duration(SimDuration::from_secs(secs));
+        let mut s = Scenario::single_hop(model, senders, burst, seed);
+        s.duration = SimDuration::from_secs(secs);
         let mut power = PowerConfig::with_battery(Battery::ideal_joules(capacity));
         if rng.range_u64(0, 2) == 0 {
             power = power.battery_powered_sink();
@@ -89,8 +89,8 @@ fn battery_drain_equals_ledger_totals_across_arbitrary_runs() {
 fn capacity_rated_batteries_conserve_too() {
     // The mAh@V model goes through the same drain path; make sure the
     // voltage-curve bookkeeping does not leak energy either.
-    let mut s = Scenario::single_hop(ModelKind::DualRadio, 5, 100, 9)
-        .with_duration(SimDuration::from_secs(300));
+    let mut s = Scenario::single_hop(ModelKind::DualRadio, 5, 100, 9);
+    s.duration = SimDuration::from_secs(300);
     s.power = PowerConfig::with_battery(Battery::aa_pair().scaled(5e-4));
     let stats = s.run();
     assert!(stats.metrics.node_deaths > 0, "scaled AA packs deplete");
@@ -99,9 +99,9 @@ fn capacity_rated_batteries_conserve_too() {
 
 #[test]
 fn mains_powered_runs_report_ledgers_but_no_batteries() {
-    let stats = Scenario::single_hop(ModelKind::Sensor, 5, 10, 3)
-        .with_duration(SimDuration::from_secs(120))
-        .run();
+    let mut s = Scenario::single_hop(ModelKind::Sensor, 5, 10, 3);
+    s.duration = SimDuration::from_secs(120);
+    let stats = s.run();
     for n in &stats.per_node {
         assert!(n.drawn_j.is_none() && n.capacity_j.is_none() && n.residual_j.is_none());
         assert!(n.ledger_j > 0.0, "meters still run on mains power");
@@ -112,8 +112,8 @@ fn mains_powered_runs_report_ledgers_but_no_batteries() {
 #[test]
 fn identical_seeds_reproduce_identical_death_times() {
     let build = || {
-        let mut s = Scenario::single_hop(ModelKind::DualRadio, 8, 100, 77)
-            .with_duration(SimDuration::from_secs(300));
+        let mut s = Scenario::single_hop(ModelKind::DualRadio, 8, 100, 77);
+        s.duration = SimDuration::from_secs(300);
         s.power = PowerConfig::with_battery(Battery::ideal_joules(9.0));
         s.run()
     };

@@ -346,6 +346,11 @@ fn rejects_more_shards_than_nodes() {
         }
     );
     assert!(err.to_string().contains("shards must be <= nodes"));
+    // The lower bound is a clamp, not an error: zero shards means one.
+    let built = valid().shards(0).build().expect("zero clamps");
+    assert_eq!(built.shards, 1, "builder clamps zero shards to one");
+    let parsed = parse_spec("senders = auto:5\nshards = 0\n").expect("zero clamps");
+    assert_eq!(parsed.shards, 1, ".scn clamps zero shards to one");
 }
 
 #[test]
@@ -613,7 +618,8 @@ fn assert_bit_identical(a: &bcp::simnet::RunStats, b: &bcp::simnet::RunStats, wh
 #[test]
 fn legacy_builder_and_scn_runs_are_bit_identical() {
     let dur = SimDuration::from_secs(120);
-    let legacy = Scenario::single_hop(ModelKind::DualRadio, 8, 100, 42).with_duration(dur);
+    let mut legacy = Scenario::single_hop(ModelKind::DualRadio, 8, 100, 42);
+    legacy.duration = dur;
     let built = ScenarioBuilder::single_hop(ModelKind::DualRadio, 8, 100, 42)
         .duration(dur)
         .build()
@@ -637,10 +643,10 @@ fn equivalence_holds_with_batteries_and_deaths() {
     // The lifetime path: finite batteries, deaths inside the run, energy-
     // aware rerouting — still bit-identical through the spec pipeline.
     let dur = SimDuration::from_secs(200);
-    let legacy = Scenario::single_hop(ModelKind::Dot11, 5, 10, 7)
-        .with_duration(dur)
-        .with_battery(Battery::ideal_joules(40.0))
-        .with_route_weight(RouteWeight::MaxMinResidual);
+    let mut legacy = Scenario::single_hop(ModelKind::Dot11, 5, 10, 7);
+    legacy.duration = dur;
+    legacy.power = PowerConfig::with_battery(Battery::ideal_joules(40.0));
+    legacy.route_weight = RouteWeight::MaxMinResidual;
     let built = ScenarioBuilder::single_hop(ModelKind::Dot11, 5, 10, 7)
         .duration(dur)
         .battery(Battery::ideal_joules(40.0))
@@ -790,18 +796,18 @@ fn golden_checked_in_specs_round_trip_byte_for_byte() {
 #[test]
 fn broadcast_and_gossip_presets_run() {
     // The two directional presets do real work even at a short clamp.
-    let b = parse_spec(&std::fs::read_to_string("examples/specs/broadcast_demo.scn").unwrap())
-        .expect("broadcast preset parses")
-        .with_duration(SimDuration::from_secs(60));
+    let mut b = parse_spec(&std::fs::read_to_string("examples/specs/broadcast_demo.scn").unwrap())
+        .expect("broadcast preset parses");
+    b.duration = SimDuration::from_secs(60);
     let stats = b.run();
     assert!(
         stats.broadcast_reach.expect("reach reported") > 0.5,
         "the demo disseminates: {:?}",
         stats.broadcast_reach
     );
-    let g = parse_spec(&std::fs::read_to_string("examples/specs/gossip_pairs.scn").unwrap())
-        .expect("gossip preset parses")
-        .with_duration(SimDuration::from_secs(60));
+    let mut g = parse_spec(&std::fs::read_to_string("examples/specs/gossip_pairs.scn").unwrap())
+        .expect("gossip preset parses");
+    g.duration = SimDuration::from_secs(60);
     let stats = g.run();
     assert!(stats.goodput > 0.3, "the mesh delivers: {}", stats.goodput);
     assert!(stats.metrics.flows.len() >= 6, "per-flow ledger populated");

@@ -75,9 +75,10 @@ fn shards_1_2_4_are_bit_identical_with_deaths_and_repair() {
 #[test]
 fn shards_1_2_4_reach_the_same_world_state_dual_radio() {
     let build = |shards: usize| {
-        Scenario::multi_hop(ModelKind::DualRadio, 8, 100, 41)
-            .with_duration(SimDuration::from_secs(60))
-            .with_shards(shards)
+        let mut s = Scenario::multi_hop(ModelKind::DualRadio, 8, 100, 41);
+        s.duration = SimDuration::from_secs(60);
+        s.shards = shards;
+        s
     };
     let one = build(1).run();
     assert!(one.metrics.radio_wakeups > 0, "bursts happened");
@@ -127,9 +128,9 @@ fn snapshot_reshard_matrix_on_lpl_broadcast_with_deaths() {
     // across shard counts — and for a 1-shard snapshot taken mid-run and
     // resumed as 4 shards — modulo the wall-clock `.engine` block.
     let build = |shards: usize| {
-        let base = Scenario::single_hop(ModelKind::Sensor, 1, 10, 11);
-        let source = base.sink;
-        let mut s = base.with_pattern(TrafficPattern::Broadcast { source });
+        let mut s = Scenario::single_hop(ModelKind::Sensor, 1, 10, 11);
+        s.pattern = TrafficPattern::Broadcast { source: s.sink };
+        s.senders = vec![s.sink];
         s.duration = SimDuration::from_secs(60);
         s.rate_bps = 500.0;
         s.low_sleep =
@@ -246,10 +247,10 @@ fn two_thousand_node_grid_smoke() {
     // 45×45 = 2025 nodes, sensor model, sink at the centre, ~200 senders
     // — the single-run scale the partitioned engine exists for. Short
     // horizon so the smoke test stays inside tier-1 budgets.
-    let stats = sensor_scale(45, 3)
-        .with_duration(SimDuration::from_secs(4))
-        .with_shards(4)
-        .run();
+    let mut s = sensor_scale(45, 3);
+    s.duration = SimDuration::from_secs(4);
+    s.shards = 4;
+    let stats = s.run();
     assert_eq!(stats.per_node.len(), 2025);
     // ~200 senders funnel 400 kbps into one 250 kbps sink radio: the
     // convergecast is (realistically) congestion-collapsed, so the smoke

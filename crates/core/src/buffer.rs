@@ -7,6 +7,7 @@
 
 use crate::msg::AppPacket;
 use bcp_net::addr::NodeId;
+use bcp_sim::persist::{bad, Dec, Enc, Persist, Res};
 use std::collections::VecDeque;
 
 /// Shared-capacity, per-next-hop FIFO buffers.
@@ -27,7 +28,7 @@ use std::collections::VecDeque;
 /// assert_eq!(burst.len(), 1);
 /// assert_eq!(b.total_bytes(), 0);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NextHopBuffers {
     cap_bytes: usize,
     total_bytes: usize,
@@ -183,40 +184,6 @@ impl NextHopBuffers {
         out
     }
 
-    /// The raw buffer registers for exact checkpointing: the per-next-hop
-    /// queues in their deterministic first-use order, plus the stats. The
-    /// per-queue and total byte tallies are recomputed on restore.
-    pub fn snapshot_state(&self) -> (Vec<(NodeId, Vec<AppPacket>)>, BufferStats) {
-        let queues = self
-            .queues
-            .iter()
-            .map(|(n, q, _)| (*n, q.iter().copied().collect()))
-            .collect();
-        (queues, self.stats)
-    }
-
-    /// Overwrites the buffer contents and stats with captured values,
-    /// preserving queue order (which decides future round-robin choices).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the restored packets exceed this buffer's capacity.
-    pub fn restore_state(&mut self, queues: &[(NodeId, Vec<AppPacket>)], stats: BufferStats) {
-        self.queues = queues
-            .iter()
-            .map(|(n, pkts)| {
-                let bytes = pkts.iter().map(|p| p.bytes).sum();
-                (*n, pkts.iter().copied().collect(), bytes)
-            })
-            .collect();
-        self.total_bytes = self.queues.iter().map(|(_, _, b)| *b).sum();
-        assert!(
-            self.total_bytes <= self.cap_bytes,
-            "restored buffer contents exceed capacity"
-        );
-        self.stats = stats;
-    }
-
     /// Conservation invariant: enqueued = drained + resident + dropped never
     /// counts twice. (Used by property tests; cheap enough to assert in
     /// debug runs.)
@@ -229,6 +196,47 @@ impl NextHopBuffers {
         );
         let byte_sum: usize = self.queues.iter().map(|(_, _, b)| *b).sum();
         assert_eq!(byte_sum, self.total_bytes, "byte accounting violated");
+    }
+}
+
+bcp_sim::persist!(BufferStats {
+    enqueued,
+    overflow_drops,
+    drained
+});
+
+/// The queues in their first-use order (which decides future
+/// round-robin choices) and the stats; the byte tallies are recomputed.
+/// The capacity is configuration, so a load fills a buffer built with it.
+impl Persist for NextHopBuffers {
+    type Ctx = NextHopBuffers;
+    fn save(&self, e: &mut Enc) {
+        e.count(self.queues.len());
+        for (hop, q, _) in &self.queues {
+            e.put(hop);
+            e.put(q);
+        }
+        e.put(&self.stats);
+    }
+    fn load(d: &mut Dec<'_>, blank: NextHopBuffers) -> Res<Self> {
+        let queues: Vec<(NodeId, VecDeque<AppPacket>, usize)> = d.seq(|d| {
+            let (hop, q): (NodeId, VecDeque<AppPacket>) = d.get()?;
+            let bytes = q.iter().map(|p| p.bytes).sum();
+            Ok((hop, q, bytes))
+        })?;
+        let total_bytes: usize = queues.iter().map(|(_, _, b)| b).sum();
+        if total_bytes > blank.cap_bytes {
+            return Err(bad(format!(
+                "buffer holds {total_bytes} B, over its {} B capacity",
+                blank.cap_bytes
+            )));
+        }
+        Ok(NextHopBuffers {
+            total_bytes,
+            queues,
+            stats: d.get()?,
+            ..blank
+        })
     }
 }
 

@@ -6,6 +6,7 @@
 //! and are fragmented into the original packets by BCP."
 
 use crate::msg::{AppPacket, BurstId};
+use bcp_sim::persist::{bad, Dec, Enc, Persist, Res};
 
 /// Greedily packs packets (FIFO, order-preserving) into frames of at most
 /// `frame_cap` payload bytes.
@@ -126,38 +127,30 @@ impl Reassembly {
     pub fn bytes_received(&self) -> usize {
         self.bytes_received
     }
+}
 
-    /// The raw progress registers `(burst, seen, packets, bytes)`, for
-    /// exact checkpointing.
-    pub fn raw_parts(&self) -> (BurstId, Vec<bool>, u64, usize) {
-        (
-            self.burst,
-            self.seen.clone(),
-            self.packets_received,
-            self.bytes_received,
-        )
+/// The progress registers; the burst id is the enclosing session's, so
+/// `Ctx` supplies it.
+impl Persist for Reassembly {
+    type Ctx = BurstId;
+    fn save(&self, e: &mut Enc) {
+        e.put(&self.seen);
+        e.u64(self.packets_received);
+        e.put(&self.bytes_received);
     }
-
-    /// Rebuilds reassembly progress from registers captured by
-    /// [`raw_parts`](Self::raw_parts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seen` is empty (bursts carry at least one frame).
-    pub fn from_raw_parts(
-        burst: BurstId,
-        seen: Vec<bool>,
-        packets_received: u64,
-        bytes_received: usize,
-    ) -> Self {
-        assert!(!seen.is_empty(), "bursts carry at least one frame");
-        Reassembly {
+    fn load(d: &mut Dec<'_>, burst: BurstId) -> Res<Self> {
+        let seen: Vec<bool> = d.get()?;
+        let expected_frames = u32::try_from(seen.len())
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or_else(|| bad("a burst carries at least one frame"))?;
+        Ok(Reassembly {
             burst,
-            expected_frames: seen.len() as u32,
+            expected_frames,
             seen,
-            packets_received,
-            bytes_received,
-        }
+            packets_received: d.u64()?,
+            bytes_received: d.get()?,
+        })
     }
 }
 

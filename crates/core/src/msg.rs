@@ -6,6 +6,7 @@
 //! goodput, energy per bit and per-packet delay, never payload contents.
 
 use bcp_net::addr::NodeId;
+use bcp_sim::persist::{Dec, Enc, Persist, Res};
 use bcp_sim::time::SimTime;
 use core::fmt;
 
@@ -99,6 +100,48 @@ impl HandshakeMsg {
         match self {
             HandshakeMsg::WakeUp { burst, .. } | HandshakeMsg::WakeUpAck { burst, .. } => *burst,
         }
+    }
+}
+
+bcp_sim::persist!(BurstId(u64));
+bcp_sim::persist!(PacketId(u64));
+
+bcp_sim::persist!(AppPacket {
+    id,
+    origin,
+    dest,
+    created,
+    bytes
+});
+
+impl Persist for HandshakeMsg {
+    type Ctx = ();
+    fn save(&self, e: &mut Enc) {
+        let (tag, burst, bytes) = match *self {
+            HandshakeMsg::WakeUp { burst, burst_bytes } => (0, burst, burst_bytes),
+            HandshakeMsg::WakeUpAck {
+                burst,
+                granted_bytes,
+            } => (1, burst, granted_bytes),
+        };
+        e.u8(tag);
+        e.put(&burst);
+        e.put(&bytes);
+    }
+    fn load(d: &mut Dec<'_>, _: ()) -> Res<Self> {
+        let ack = d.tag(&[false, true], "handshake tag")?;
+        let (burst, bytes) = (d.get()?, d.get()?);
+        Ok(if ack {
+            HandshakeMsg::WakeUpAck {
+                burst,
+                granted_bytes: bytes,
+            }
+        } else {
+            HandshakeMsg::WakeUp {
+                burst,
+                burst_bytes: bytes,
+            }
+        })
     }
 }
 

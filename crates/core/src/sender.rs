@@ -18,6 +18,7 @@ use crate::config::BcpConfig;
 use crate::frag::{pack_frames, total_bytes};
 use crate::msg::{AppPacket, BurstId};
 use bcp_net::addr::NodeId;
+use bcp_sim::persist::{Dec, Enc, Persist, Res};
 use bcp_sim::time::SimTime;
 use std::collections::VecDeque;
 
@@ -128,14 +129,14 @@ pub struct SenderStats {
     pub grant_rejections: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum SessState {
     WaitAck { attempts: u32, requested: usize },
     WakingRadio { granted: usize },
     Bursting(Bursting),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Bursting {
     pending: VecDeque<(u32, Vec<AppPacket>)>,
     count: u32,
@@ -144,72 +145,11 @@ struct Bursting {
     delivered_bytes: usize,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Session {
     next_hop: NodeId,
     burst: BurstId,
     state: SessState,
-}
-
-/// Exact mutable state of a [`BcpSender`], captured for checkpointing.
-/// Plain data: every field is public and directly serializable; the config
-/// is excluded (scenario-derived, re-supplied on restore).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SenderSnapshot {
-    /// Per-next-hop buffer contents in first-use order.
-    pub buffer_queues: Vec<(NodeId, Vec<AppPacket>)>,
-    /// Buffer behaviour counters.
-    pub buffer_stats: crate::buffer::BufferStats,
-    /// The in-progress handshake/burst, if any.
-    pub session: Option<SessionSnapshot>,
-    /// Bursts initiated so far (feeds [`BurstId`] allocation).
-    pub burst_counter: u64,
-    /// Whether drain mode (threshold ignored) is in force.
-    pub draining: bool,
-    /// Behaviour counters.
-    pub stats: SenderStats,
-}
-
-/// Captured form of one in-progress sender session.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionSnapshot {
-    /// The receiver being handshaken/bursted to.
-    pub next_hop: NodeId,
-    /// Handshake identity.
-    pub burst: BurstId,
-    /// Captured machine position.
-    pub state: SessStateSnapshot,
-}
-
-/// Captured form of [`SessionSnapshot`]'s machine position — mirrors the
-/// private session-state enum field for field.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SessStateSnapshot {
-    /// Wake-up sent; awaiting the ACK.
-    WaitAck {
-        /// Wake-ups sent so far for this handshake.
-        attempts: u32,
-        /// Bytes requested in the wake-up.
-        requested: usize,
-    },
-    /// ACK granted; waiting for the high radio to come up.
-    WakingRadio {
-        /// Bytes granted by the receiver.
-        granted: usize,
-    },
-    /// Burst frames moving on the high radio.
-    Bursting {
-        /// Frames not yet handed to the MAC: `(frame index, packets)`.
-        pending: Vec<(u32, Vec<AppPacket>)>,
-        /// Total frames in the burst.
-        count: u32,
-        /// The frame currently at the MAC, if any.
-        in_flight: Option<(u32, Vec<AppPacket>)>,
-        /// Packets confirmed delivered so far.
-        delivered_packets: u64,
-        /// Bytes likewise.
-        delivered_bytes: usize,
-    },
 }
 
 /// The per-node BCP sender machine.
@@ -217,7 +157,7 @@ pub enum SessStateSnapshot {
 /// # Examples
 ///
 /// See the crate-level docs of `bcp-core` for a full handshake walk-through.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BcpSender {
     node: NodeId,
     cfg: BcpConfig,
@@ -273,80 +213,6 @@ impl BcpSender {
     /// (relays share one buffer pool between forwarding and reception).
     pub fn free_bytes(&self) -> usize {
         self.buffers.free_bytes()
-    }
-
-    /// Captures the complete mutable state for checkpointing.
-    pub fn snapshot_state(&self) -> SenderSnapshot {
-        let (buffer_queues, buffer_stats) = self.buffers.snapshot_state();
-        let session = self.session.as_ref().map(|s| SessionSnapshot {
-            next_hop: s.next_hop,
-            burst: s.burst,
-            state: match &s.state {
-                SessState::WaitAck {
-                    attempts,
-                    requested,
-                } => SessStateSnapshot::WaitAck {
-                    attempts: *attempts,
-                    requested: *requested,
-                },
-                SessState::WakingRadio { granted } => {
-                    SessStateSnapshot::WakingRadio { granted: *granted }
-                }
-                SessState::Bursting(b) => SessStateSnapshot::Bursting {
-                    pending: b.pending.iter().cloned().collect(),
-                    count: b.count,
-                    in_flight: b.in_flight.clone(),
-                    delivered_packets: b.delivered_packets,
-                    delivered_bytes: b.delivered_bytes,
-                },
-            },
-        });
-        SenderSnapshot {
-            buffer_queues,
-            buffer_stats,
-            session,
-            burst_counter: self.burst_counter,
-            draining: self.draining,
-            stats: self.stats,
-        }
-    }
-
-    /// Overwrites the mutable state with a captured [`SenderSnapshot`].
-    /// The receiver must have been built with the same config.
-    pub fn restore_state(&mut self, s: &SenderSnapshot) {
-        self.buffers.restore_state(&s.buffer_queues, s.buffer_stats);
-        self.session = s.session.as_ref().map(|sess| Session {
-            next_hop: sess.next_hop,
-            burst: sess.burst,
-            state: match &sess.state {
-                SessStateSnapshot::WaitAck {
-                    attempts,
-                    requested,
-                } => SessState::WaitAck {
-                    attempts: *attempts,
-                    requested: *requested,
-                },
-                SessStateSnapshot::WakingRadio { granted } => {
-                    SessState::WakingRadio { granted: *granted }
-                }
-                SessStateSnapshot::Bursting {
-                    pending,
-                    count,
-                    in_flight,
-                    delivered_packets,
-                    delivered_bytes,
-                } => SessState::Bursting(Bursting {
-                    pending: pending.iter().cloned().collect(),
-                    count: *count,
-                    in_flight: in_flight.clone(),
-                    delivered_packets: *delivered_packets,
-                    delivered_bytes: *delivered_bytes,
-                }),
-            },
-        });
-        self.burst_counter = s.burst_counter;
-        self.draining = s.draining;
-        self.stats = s.stats;
     }
 
     /// The threshold currently in force: `α·s*` normally, one byte while
@@ -628,6 +494,92 @@ impl BcpSender {
             // Data may have crossed the threshold during the burst.
             self.maybe_start_session(now, out);
         }
+    }
+}
+
+impl Persist for SessState {
+    type Ctx = ();
+    fn save(&self, e: &mut Enc) {
+        match self {
+            SessState::WaitAck {
+                attempts,
+                requested,
+            } => {
+                e.u8(0);
+                e.put(attempts);
+                e.put(requested);
+            }
+            SessState::WakingRadio { granted } => {
+                e.u8(1);
+                e.put(granted);
+            }
+            SessState::Bursting(b) => {
+                e.u8(2);
+                e.put(&b.pending);
+                e.put(&b.count);
+                e.put(&b.in_flight);
+                e.u64(b.delivered_packets);
+                e.put(&b.delivered_bytes);
+            }
+        }
+    }
+    fn load(d: &mut Dec<'_>, _: ()) -> Res<Self> {
+        Ok(match d.tag(&[0, 1, 2], "session state tag")? {
+            0 => SessState::WaitAck {
+                attempts: d.get()?,
+                requested: d.get()?,
+            },
+            1 => SessState::WakingRadio { granted: d.get()? },
+            _ => SessState::Bursting(Bursting {
+                pending: d.get()?,
+                count: d.get()?,
+                in_flight: d.get()?,
+                delivered_packets: d.u64()?,
+                delivered_bytes: d.get()?,
+            }),
+        })
+    }
+}
+
+bcp_sim::persist!(Session {
+    next_hop,
+    burst,
+    state
+});
+
+bcp_sim::persist!(SenderStats {
+    handshakes,
+    wakeup_resends,
+    handshake_failures,
+    bursts_completed,
+    frames_ok,
+    frames_failed,
+    packets_sent,
+    bytes_sent,
+    low_fallback_packets,
+    grant_rejections
+});
+
+/// The buffers, session and counters; the node and config are scenario
+/// configuration, so a load fills a sender built from them.
+impl Persist for BcpSender {
+    type Ctx = BcpSender;
+    fn save(&self, e: &mut Enc) {
+        e.put(&self.buffers);
+        e.put(&self.session);
+        e.u64(self.burst_counter);
+        e.boolean(self.draining);
+        e.put(&self.stats);
+    }
+    fn load(d: &mut Dec<'_>, blank: BcpSender) -> Res<Self> {
+        Ok(BcpSender {
+            buffers: NextHopBuffers::load(d, blank.buffers)?,
+            session: d.get()?,
+            burst_counter: d.u64()?,
+            draining: d.boolean()?,
+            stats: d.get()?,
+            ..blank
+        })
     }
 }
 

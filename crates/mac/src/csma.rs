@@ -17,9 +17,10 @@
 use crate::types::{
     FrameId, FrameKind, MacAction, MacAddr, MacEvent, MacFrame, MacStats, MacTimer,
 };
+use bcp_sim::persist::{bad, Dec, Enc, Persist, Res};
 use bcp_sim::rng::Rng;
 use bcp_sim::time::{SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Tunable parameters of the CSMA/CA engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,59 +187,6 @@ enum Access {
     TxAck,
 }
 
-impl Access {
-    /// Inverse of `as u8`, for snapshot decoding.
-    fn from_u8(d: u8) -> Access {
-        match d {
-            0 => Access::Quiet,
-            1 => Access::WaitChannel,
-            2 => Access::Deferring,
-            3 => Access::Backoff,
-            4 => Access::TxData,
-            5 => Access::WaitAck,
-            6 => Access::TxAck,
-            _ => panic!("invalid MAC access discriminant {d}"),
-        }
-    }
-}
-
-/// Exact mutable state of a [`CsmaMac`], captured for checkpointing.
-///
-/// Plain data: every field is public and order-stable (the per-peer
-/// sequence maps are sorted by address), so two snapshots of identical
-/// MACs compare equal and serialize identically.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MacSnapshot {
-    /// Backoff RNG state.
-    pub rng: [u64; 4],
-    /// `Access` discriminant (state machine position).
-    pub access: u8,
-    /// Last carrier sense reported by the PHY.
-    pub carrier_busy: bool,
-    /// Pending data frames, head first.
-    pub queue: Vec<MacFrame>,
-    /// Transmission attempts for the head-of-line frame.
-    pub attempts: u32,
-    /// Current contention window.
-    pub cw: u32,
-    /// Backoff slots left when the countdown was last (re)started.
-    pub backoff_remaining: u32,
-    /// When the running backoff countdown started.
-    pub backoff_started: SimTime,
-    /// ACK owed after SIFS, if any.
-    pub pending_ack: Option<MacFrame>,
-    /// Whether a suspended access attempt resumes after the ACK.
-    pub resume_after_ack: bool,
-    /// Duplicate-suppression map, sorted by source address.
-    pub last_seq: Vec<(MacAddr, u16)>,
-    /// Per-destination sequence counters, sorted by address.
-    pub next_seq: Vec<(MacAddr, u16)>,
-    /// Next frame id to issue.
-    pub next_frame_id: u64,
-    /// Behaviour counters.
-    pub stats: MacStats,
-}
-
 /// The CSMA/CA engine. See the module docs for the two stock
 /// configurations.
 ///
@@ -259,7 +207,7 @@ pub struct MacSnapshot {
 /// // Sensor CSMA always backs off before transmitting:
 /// assert!(matches!(actions[0], MacAction::SetTimer { kind: MacTimer::Difs, .. }));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsmaMac {
     cfg: MacConfig,
     addr: MacAddr,
@@ -277,9 +225,9 @@ pub struct CsmaMac {
     // Access state to resume after an interrupting ACK transmission.
     resume_after_ack: bool,
     // Duplicate suppression: last seq seen per source.
-    last_seq: HashMap<MacAddr, u16>,
+    last_seq: BTreeMap<MacAddr, u16>,
     // Sequence numbers per destination.
-    next_seq: HashMap<MacAddr, u16>,
+    next_seq: BTreeMap<MacAddr, u16>,
     next_frame_id: u64,
     stats: MacStats,
 }
@@ -302,8 +250,8 @@ impl CsmaMac {
             backoff_started: SimTime::ZERO,
             pending_ack: None,
             resume_after_ack: false,
-            last_seq: HashMap::new(),
-            next_seq: HashMap::new(),
+            last_seq: BTreeMap::new(),
+            next_seq: BTreeMap::new(),
             next_frame_id: 0,
             stats: MacStats::default(),
         }
@@ -329,63 +277,16 @@ impl CsmaMac {
         self.queue.len()
     }
 
+    /// The queued frames, head (the one in flight) first.
+    pub fn queued(&self) -> impl Iterator<Item = &MacFrame> {
+        self.queue.iter()
+    }
+
     /// `true` when the MAC owes nothing: no queued or in-flight frames, no
     /// pending ACK, no access attempt in progress. Binders must check this
     /// before powering the radio down.
     pub fn is_quiescent(&self) -> bool {
         self.state == Access::Quiet && self.queue.is_empty() && self.pending_ack.is_none()
-    }
-
-    /// Captures the complete mutable state for checkpointing. The config
-    /// and address are deliberately excluded: they are pure functions of
-    /// the scenario and are re-supplied on restore via [`CsmaMac::new`].
-    pub fn snapshot_state(&self) -> MacSnapshot {
-        let mut last_seq: Vec<(MacAddr, u16)> =
-            self.last_seq.iter().map(|(&a, &s)| (a, s)).collect();
-        last_seq.sort_unstable();
-        let mut next_seq: Vec<(MacAddr, u16)> =
-            self.next_seq.iter().map(|(&a, &s)| (a, s)).collect();
-        next_seq.sort_unstable();
-        MacSnapshot {
-            rng: self.rng.state(),
-            access: self.state as u8,
-            carrier_busy: self.carrier_busy,
-            queue: self.queue.iter().copied().collect(),
-            attempts: self.attempts,
-            cw: self.cw,
-            backoff_remaining: self.backoff_remaining,
-            backoff_started: self.backoff_started,
-            pending_ack: self.pending_ack,
-            resume_after_ack: self.resume_after_ack,
-            last_seq,
-            next_seq,
-            next_frame_id: self.next_frame_id,
-            stats: self.stats,
-        }
-    }
-
-    /// Overwrites the mutable state with a captured [`MacSnapshot`]. The
-    /// receiver must have been built with the same config and address the
-    /// snapshotted MAC had.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the access discriminant is out of range.
-    pub fn restore_state(&mut self, s: &MacSnapshot) {
-        self.rng = Rng::from_state(s.rng);
-        self.state = Access::from_u8(s.access);
-        self.carrier_busy = s.carrier_busy;
-        self.queue = s.queue.iter().copied().collect();
-        self.attempts = s.attempts;
-        self.cw = s.cw;
-        self.backoff_remaining = s.backoff_remaining;
-        self.backoff_started = s.backoff_started;
-        self.pending_ack = s.pending_ack;
-        self.resume_after_ack = s.resume_after_ack;
-        self.last_seq = s.last_seq.iter().copied().collect();
-        self.next_seq = s.next_seq.iter().copied().collect();
-        self.next_frame_id = s.next_frame_id;
-        self.stats = s.stats;
     }
 
     /// Builds a data frame from this MAC with a fresh id and sequence
@@ -698,6 +599,54 @@ impl CsmaMac {
                 // concern (energy); the MAC ignores it.
             }
         }
+    }
+}
+
+bcp_sim::persist!(enum Access [Quiet, WaitChannel, Deferring, Backoff, TxData, WaitAck, TxAck]);
+
+/// The mutable registers. The config and address are scenario
+/// configuration, so a load fills a MAC built from them.
+impl Persist for CsmaMac {
+    type Ctx = CsmaMac;
+    fn save(&self, e: &mut Enc) {
+        e.put(&self.rng);
+        e.put(&self.state);
+        e.boolean(self.carrier_busy);
+        e.put(&self.queue);
+        e.put(&self.attempts);
+        e.put(&self.cw);
+        e.put(&self.backoff_remaining);
+        e.put(&self.backoff_started);
+        e.put(&self.pending_ack);
+        e.boolean(self.resume_after_ack);
+        e.put(&self.last_seq);
+        e.put(&self.next_seq);
+        e.u64(self.next_frame_id);
+        e.put(&self.stats);
+    }
+    fn load(d: &mut Dec<'_>, blank: CsmaMac) -> Res<Self> {
+        let mac = CsmaMac {
+            rng: d.get()?,
+            state: d.get()?,
+            carrier_busy: d.boolean()?,
+            queue: d.get()?,
+            attempts: d.get()?,
+            cw: d.get()?,
+            backoff_remaining: d.get()?,
+            backoff_started: d.past()?,
+            pending_ack: d.get()?,
+            resume_after_ack: d.boolean()?,
+            last_seq: d.get()?,
+            next_seq: d.get()?,
+            next_frame_id: d.u64()?,
+            stats: d.get()?,
+            ..blank
+        };
+        // Only an idle MAC or one sending an ACK may have nothing queued.
+        if !matches!(mac.state, Access::Quiet | Access::TxAck) && mac.queue.is_empty() {
+            return Err(bad(format!("MAC in {:?} with nothing queued", mac.state)));
+        }
+        Ok(mac)
     }
 }
 

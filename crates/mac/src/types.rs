@@ -150,6 +150,34 @@ pub struct MacStats {
     pub tx_successes: u64,
 }
 
+bcp_sim::persist!(MacAddr(u64));
+bcp_sim::persist!(FrameId(u64));
+
+bcp_sim::persist!(enum FrameKind [Data, Ack]);
+
+bcp_sim::persist!(enum MacTimer [Difs, Backoff, AckTimeout, SifsAck]);
+
+bcp_sim::persist!(MacFrame {
+    id,
+    src,
+    dst,
+    payload_bytes,
+    kind,
+    seq,
+    tag
+});
+
+bcp_sim::persist!(MacStats {
+    enqueued,
+    queue_drops,
+    data_tx,
+    ack_tx,
+    delivered,
+    duplicates,
+    tx_failures,
+    tx_successes
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;

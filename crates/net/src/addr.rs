@@ -6,6 +6,7 @@
 //! radio addresses for the receiver"); [`AddrMap`] is that translation
 //! table.
 
+use bcp_sim::persist::{bad, Dec, Enc, Persist, Res};
 use core::fmt;
 use std::collections::HashMap;
 
@@ -25,6 +26,15 @@ impl NodeId {
     /// The index form used for dense per-node arrays.
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// `self` when it names one of `n` nodes; a decode error otherwise.
+    pub fn within(self, n: usize) -> Res<NodeId> {
+        if self.index() < n {
+            Ok(self)
+        } else {
+            Err(bad(format!("node {self} out of range for {n} nodes")))
+        }
     }
 }
 
@@ -131,6 +141,18 @@ impl AddrMap {
     /// Resolves a high-radio address to its node.
     pub fn node_of_high(&self, addr: HighAddr) -> Option<NodeId> {
         self.by_high.get(&addr).copied()
+    }
+}
+
+impl Persist for NodeId {
+    type Ctx = ();
+    #[inline]
+    fn save(&self, e: &mut Enc) {
+        e.u64(self.0 as u64);
+    }
+    #[inline]
+    fn load(d: &mut Dec<'_>, _: ()) -> Res<Self> {
+        Ok(NodeId(d.id("node")?))
     }
 }
 

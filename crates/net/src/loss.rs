@@ -144,6 +144,8 @@ impl LossModel {
     }
 }
 
+bcp_sim::persist!(LossState { in_bad });
+
 #[cfg(test)]
 mod tests {
     use super::*;

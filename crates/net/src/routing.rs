@@ -10,6 +10,7 @@
 
 use crate::addr::NodeId;
 use crate::topo::Topology;
+use bcp_sim::persist::{bad, Dec, Enc, Persist, Res};
 use std::collections::VecDeque;
 
 /// How routes weigh candidate paths.
@@ -137,28 +138,6 @@ impl Routes {
     /// `true` when no nodes are routed.
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// The raw route tables `(next, dist)` (both indexed `[dst][src]`),
-    /// for exact checkpointing.
-    #[allow(clippy::type_complexity)]
-    pub fn raw_parts(&self) -> (&[Vec<Option<NodeId>>], &[Vec<Option<u32>>]) {
-        (&self.next, &self.dist)
-    }
-
-    /// Rebuilds routes from tables captured by
-    /// [`raw_parts`](Self::raw_parts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two tables disagree in size.
-    pub fn from_raw_parts(next: Vec<Vec<Option<NodeId>>>, dist: Vec<Vec<Option<u32>>>) -> Self {
-        assert_eq!(next.len(), dist.len(), "route tables must agree in size");
-        Routes {
-            n: next.len(),
-            next,
-            dist,
-        }
     }
 
     /// First hop from `src` toward `dst`; `None` when unreachable or when
@@ -392,31 +371,6 @@ impl Dissemination {
         self.reached.iter().filter(|&&r| r).count()
     }
 
-    /// The raw tree registers `(root, children, reached)`, for exact
-    /// checkpointing.
-    pub fn raw_parts(&self) -> (NodeId, &[Vec<NodeId>], &[bool]) {
-        (self.root, &self.children, &self.reached)
-    }
-
-    /// Rebuilds a tree from registers captured by
-    /// [`raw_parts`](Self::raw_parts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two tables disagree in size.
-    pub fn from_raw_parts(root: NodeId, children: Vec<Vec<NodeId>>, reached: Vec<bool>) -> Self {
-        assert_eq!(
-            children.len(),
-            reached.len(),
-            "tree tables must agree in size"
-        );
-        Dissemination {
-            root,
-            children,
-            reached,
-        }
-    }
-
     /// `node` plus every descendant, in depth-first (stack) order — the
     /// set of nodes that lose a packet when the edge into `node` fails.
     pub fn subtree(&self, node: NodeId) -> Vec<NodeId> {
@@ -487,19 +441,95 @@ impl ShortcutTable {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+}
 
-    /// The learned entries in their deterministic learn order, for exact
-    /// checkpointing.
-    pub fn entries(&self) -> &[(NodeId, NodeId)] {
-        &self.entries
+/// Both tables, indexed `[dst][src]`; `Ctx` is the node count. A load
+/// checks the tables route consistently — every next hop is one hop
+/// closer — so a stored table can never send a packet round a loop.
+impl Persist for Routes {
+    type Ctx = usize;
+    fn save(&self, e: &mut Enc) {
+        e.count(self.n);
+        for row in &self.next {
+            e.put(row);
+        }
+        for row in &self.dist {
+            e.put(row);
+        }
     }
-
-    /// Rebuilds a table from entries captured by
-    /// [`entries`](Self::entries), preserving their order.
-    pub fn from_entries(entries: Vec<(NodeId, NodeId)>) -> Self {
-        ShortcutTable { entries }
+    fn load(d: &mut Dec<'_>, n: usize) -> Res<Self> {
+        if d.count()? != n {
+            return Err(bad(format!("route tables are not over {n} nodes")));
+        }
+        let r = Routes {
+            n,
+            next: (0..n).map(|_| d.get()).collect::<Res<_>>()?,
+            dist: (0..n).map(|_| d.get()).collect::<Res<_>>()?,
+        };
+        if r.next.iter().any(|row| row.len() != n) || r.dist.iter().any(|row| row.len() != n) {
+            return Err(bad(format!("route tables are not {n} x {n}")));
+        }
+        for dst in 0..n {
+            for src in 0..n {
+                let ok = match (r.next[dst][src], r.dist[dst][src]) {
+                    (None, None) => true,
+                    (None, Some(k)) => k == 0 && src == dst,
+                    (Some(h), Some(k)) => k > 0 && r.dist[dst].get(h.index()) == Some(&Some(k - 1)),
+                    (Some(_), None) => false,
+                };
+                if !ok {
+                    return Err(bad(format!("inconsistent route from {src} to {dst}")));
+                }
+            }
+        }
+        Ok(r)
     }
 }
+
+/// `Ctx` is the node count. A load checks the children form one tree
+/// under the root that spans exactly the nodes marked reached.
+impl Persist for Dissemination {
+    type Ctx = usize;
+    fn save(&self, e: &mut Enc) {
+        e.put(&self.root);
+        e.put(&self.children);
+        for &r in &self.reached {
+            e.boolean(r);
+        }
+    }
+    fn load(d: &mut Dec<'_>, n: usize) -> Res<Self> {
+        let root = d.get::<NodeId>()?.within(n)?;
+        let children: Vec<Vec<NodeId>> = d.get()?;
+        if children.len() != n {
+            return Err(bad(format!("dissemination tree is not over {n} nodes")));
+        }
+        let reached = (0..n).map(|_| d.boolean()).collect::<Res<Vec<_>>>()?;
+        let mut seen = vec![false; n];
+        seen[root.index()] = true;
+        let mut stack = vec![root];
+        while let Some(u) = stack.pop() {
+            for &c in &children[u.index()] {
+                if seen.get(c.index()) != Some(&false) {
+                    return Err(bad(format!("node {c} appears twice in the tree")));
+                }
+                seen[c.index()] = true;
+                stack.push(c);
+            }
+        }
+        let listed: usize = children.iter().map(Vec::len).sum();
+        if seen != reached || listed + 1 != seen.iter().filter(|&&s| s).count() {
+            return Err(bad("dissemination tree is not rooted at its root"));
+        }
+        Ok(Dissemination {
+            root,
+            children,
+            reached,
+        })
+    }
+}
+
+// The entries in their learn order.
+bcp_sim::persist!(ShortcutTable { entries });
 
 #[cfg(test)]
 mod tests {

@@ -12,6 +12,7 @@
 
 use crate::battery::{Battery, BatteryModel};
 use bcp_radio::units::{Energy, Power};
+use bcp_sim::persist::{Dec, Enc, Persist, Res};
 use bcp_sim::time::SimDuration;
 
 /// A battery plus the bookkeeping tying it to cumulative meter readings.
@@ -109,6 +110,20 @@ impl PowerSupply {
         // Round *up* to the next tick so the depletion event never fires
         // while a sliver of charge is still mathematically left.
         Some(SimDuration::from_nanos((secs * 1e9).ceil() as u64))
+    }
+}
+
+/// The battery's drawn total and the sync register; the battery model is
+/// scenario configuration, so a load fills a supply built from it.
+impl Persist for PowerSupply {
+    type Ctx = PowerSupply;
+    fn save(&self, e: &mut Enc) {
+        e.put(&self.battery.drawn());
+        e.put(&self.synced);
+    }
+    fn load(d: &mut Dec<'_>, mut blank: PowerSupply) -> Res<Self> {
+        blank.restore_state(d.get()?, d.get()?);
+        Ok(blank)
     }
 }
 

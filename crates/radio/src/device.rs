@@ -273,22 +273,12 @@ impl Radio {
     pub fn report(&self, t: SimTime) -> EnergyReport {
         self.ledger.snapshot(t)
     }
-
-    /// The raw meter, for exact checkpointing (the profile is scenario
-    /// config and is re-supplied on restore).
-    pub fn ledger(&self) -> &EnergyLedger {
-        &self.ledger
-    }
-
-    /// Overwrites the operating state and meter with captured values,
-    /// bypassing the transition machine — the restore path of a snapshot.
-    /// The caller guarantees `(state, ledger)` came from a radio with this
-    /// profile.
-    pub fn restore_state(&mut self, state: RadioState, ledger: EnergyLedger) {
-        self.state = state;
-        self.ledger = ledger;
-    }
 }
+
+bcp_sim::persist!(enum RadioState [Off, Sleeping, Idle, Receiving, Transmitting, WakingUp]);
+
+// The operating state and meter; the profile is scenario configuration.
+bcp_sim::persist!(Radio { state, ledger } into blank);
 
 #[cfg(test)]
 mod tests {

@@ -7,6 +7,7 @@
 //! "fully charged" — so the ledger never collapses buckets.
 
 use crate::units::{Energy, Power};
+use bcp_sim::persist::{Dec, Enc, Persist, Res};
 use bcp_sim::time::SimTime;
 
 /// Where a span of consumed energy is attributed.
@@ -137,29 +138,6 @@ impl EnergyLedger {
         buckets[self.bucket.index()] += self.power * span;
         EnergyReport { buckets }
     }
-
-    /// The raw meter registers `(buckets, since, power, bucket)`, for
-    /// exact checkpointing: `snapshot` folds the open span in, which a
-    /// restore must *not* (the span re-opens at the original instant).
-    pub fn raw_parts(&self) -> ([Energy; 7], SimTime, Power, EnergyBucket) {
-        (self.buckets, self.since, self.power, self.bucket)
-    }
-
-    /// Rebuilds a ledger from registers captured by
-    /// [`raw_parts`](Self::raw_parts).
-    pub fn from_raw_parts(
-        buckets: [Energy; 7],
-        since: SimTime,
-        power: Power,
-        bucket: EnergyBucket,
-    ) -> Self {
-        EnergyLedger {
-            buckets,
-            since,
-            power,
-            bucket,
-        }
-    }
 }
 
 impl EnergyReport {
@@ -193,6 +171,28 @@ impl EnergyReport {
 impl core::iter::Sum for EnergyReport {
     fn sum<I: Iterator<Item = EnergyReport>>(iter: I) -> EnergyReport {
         iter.fold(EnergyReport::default(), |a, b| a.merged(&b))
+    }
+}
+
+bcp_sim::persist!(enum EnergyBucket [Tx, Rx, Overhear, Idle, Sleep, Wakeup, Off]);
+
+/// The raw meter registers: `report` folds the open span in, which a
+/// restore must not (the span re-opens at the original instant).
+impl Persist for EnergyLedger {
+    type Ctx = ();
+    fn save(&self, e: &mut Enc) {
+        e.put(&self.buckets);
+        e.put(&self.since);
+        e.put(&self.power);
+        e.put(&self.bucket);
+    }
+    fn load(d: &mut Dec<'_>, _: ()) -> Res<Self> {
+        Ok(EnergyLedger {
+            buckets: d.get()?,
+            since: d.past()?,
+            power: d.get()?,
+            bucket: d.get()?,
+        })
     }
 }
 

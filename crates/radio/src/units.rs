@@ -4,6 +4,7 @@
 //! arithmetic here is in SI base units (watts, joules) wrapped in newtypes so
 //! that a power can never be mistaken for an energy.
 
+use bcp_sim::persist::{bad, Dec, Enc, Persist, Res};
 use bcp_sim::time::SimDuration;
 use core::fmt;
 use core::iter::Sum;
@@ -195,6 +196,38 @@ impl fmt::Display for Energy {
         } else {
             write!(f, "{:.3} uJ", self.as_microjoules())
         }
+    }
+}
+
+impl Persist for Energy {
+    type Ctx = ();
+    #[inline]
+    fn save(&self, e: &mut Enc) {
+        e.f64(self.0);
+    }
+    #[inline]
+    fn load(d: &mut Dec<'_>, _: ()) -> Res<Self> {
+        let j = d.f64()?;
+        if !j.is_finite() || j < 0.0 {
+            return Err(bad(format!("invalid energy {j} J")));
+        }
+        Ok(Energy(j))
+    }
+}
+
+impl Persist for Power {
+    type Ctx = ();
+    #[inline]
+    fn save(&self, e: &mut Enc) {
+        e.f64(self.0);
+    }
+    #[inline]
+    fn load(d: &mut Dec<'_>, _: ()) -> Res<Self> {
+        let w = d.f64()?;
+        if !w.is_finite() || w < 0.0 {
+            return Err(bad(format!("invalid power {w} W")));
+        }
+        Ok(Power(w))
     }
 }
 

@@ -721,6 +721,8 @@ impl<E> ShardQueue<E> {
     }
 }
 
+crate::persist!(EvKey { time, depth, ord });
+
 #[cfg(test)]
 mod tests {
     use super::*;

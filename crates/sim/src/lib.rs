@@ -22,6 +22,10 @@
 //! count; [`threads::worker_count`] sizes every worker pool in the
 //! process (override with `BCP_THREADS`).
 //!
+//! Checkpoints are written by [`persist::Persist`] impls that sit beside
+//! each persisted type, on the LEB128 encoder and bounded decoder in
+//! [`persist`].
+//!
 //! # Examples
 //!
 //! A tiny Poisson arrival loop:
@@ -51,6 +55,7 @@
 pub mod conservative;
 pub mod json;
 pub mod keyed;
+pub mod persist;
 pub mod rng;
 pub mod stats;
 pub mod threads;

@@ -7,6 +7,7 @@
 //! Vigna) instead of depending on an external crate whose stream could change
 //! between versions.
 
+use crate::persist::{bad, Dec, Enc, Persist, Res};
 /// SplitMix64: a tiny, high-quality 64-bit mixer used to expand a single
 /// `u64` seed into the xoshiro state.
 ///
@@ -241,6 +242,24 @@ impl Rng {
             let j = self.index(i + 1);
             slice.swap(i, j);
         }
+    }
+}
+
+impl Persist for Rng {
+    type Ctx = ();
+    #[inline]
+    fn save(&self, e: &mut Enc) {
+        for w in self.state() {
+            e.u64(w);
+        }
+    }
+    #[inline]
+    fn load(d: &mut Dec<'_>, _: ()) -> Res<Self> {
+        let s = [d.u64()?, d.u64()?, d.u64()?, d.u64()?];
+        if s == [0; 4] {
+            return Err(bad("all-zero RNG state"));
+        }
+        Ok(Rng::from_state(s))
     }
 }
 

@@ -82,17 +82,6 @@ impl Welford {
         t_critical_95(self.n - 1) * self.std_dev() / (self.n as f64).sqrt()
     }
 
-    /// The raw `(n, mean, m2)` registers, for exact checkpointing.
-    pub fn raw_parts(&self) -> (u64, f64, f64) {
-        (self.n, self.mean, self.m2)
-    }
-
-    /// Rebuilds an accumulator from registers captured by
-    /// [`raw_parts`](Self::raw_parts).
-    pub fn from_raw_parts(n: u64, mean: f64, m2: f64) -> Self {
-        Welford { n, mean, m2 }
-    }
-
     /// Merges another accumulator into this one (parallel Welford).
     pub fn merge(&mut self, other: &Welford) {
         if other.n == 0 {
@@ -394,6 +383,8 @@ impl DurationSum {
         self.0
     }
 }
+
+crate::persist!(Welford { n, mean, m2 });
 
 #[cfg(test)]
 mod tests {

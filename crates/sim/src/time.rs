@@ -316,6 +316,10 @@ impl From<SimDuration> for f64 {
     }
 }
 
+crate::persist!(SimTime(u64));
+
+crate::persist!(SimDuration(u64));
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -34,6 +34,7 @@ use bcp_net::loss::{LossModel, LossState};
 use bcp_net::partition::Partition;
 use bcp_net::propagation::{dbm_to_mw, PathLoss, ShadowMap, CAPTURE_THRESHOLD_DB};
 use bcp_net::topo::Topology;
+use bcp_sim::persist::{bad, Dec, Enc, Persist, Res};
 use bcp_sim::rng::Rng;
 
 /// One radio class's received-power state under `phys = logn:…` (absent
@@ -232,11 +233,6 @@ impl Channel {
             .sum()
     }
 
-    /// The audible frames at `node` with their powers (checkpoint path).
-    pub fn audible_of(&self, node: NodeId) -> &[(TxId, f64)] {
-        &self.audible[node.index()]
-    }
-
     /// Locks `node`'s receiver onto frame `tx` (it was idle and the frame
     /// started cleanly).
     pub fn lock_rx(&mut self, node: NodeId, tx: TxId) {
@@ -291,37 +287,27 @@ impl Channel {
     // Exact checkpointing
     // ------------------------------------------------------------------
 
-    /// One node's slice of the medium state, for exact checkpointing:
-    /// `(carrier count, reception lock, loss state, loss RNG state)`.
-    /// The loss *model* is configuration and lives in the scenario, not
-    /// here; audible powers are captured via [`Channel::audible_of`].
-    pub fn node_state(&self, node: NodeId) -> (u32, Option<(TxId, bool)>, LossState, [u64; 4]) {
+    /// One node's slice of the medium state, for exact checkpointing.
+    pub fn slot(&self, node: NodeId) -> ChannelSlot {
         let i = node.index();
-        (
-            self.carrier[i],
-            self.rx_current[i],
-            self.loss_state[i],
-            self.rng[i].state(),
-        )
+        ChannelSlot {
+            carrier: self.carrier[i],
+            rx_current: self.rx_current[i],
+            loss: self.loss_state[i],
+            rng: self.rng[i].clone(),
+            audible: self.audible[i].clone(),
+        }
     }
 
     /// Overwrites one node's slice of the medium state — the restore path
-    /// of a checkpoint (see [`Channel::node_state`]).
-    pub fn restore_node_state(
-        &mut self,
-        node: NodeId,
-        carrier: u32,
-        rx_current: Option<(TxId, bool)>,
-        loss_state: LossState,
-        rng_state: [u64; 4],
-        audible: Vec<(TxId, f64)>,
-    ) {
+    /// of a checkpoint (see [`Channel::slot`]).
+    pub fn restore_slot(&mut self, node: NodeId, slot: ChannelSlot) {
         let i = node.index();
-        self.carrier[i] = carrier;
-        self.rx_current[i] = rx_current;
-        self.loss_state[i] = loss_state;
-        self.rng[i] = Rng::from_state(rng_state);
-        self.audible[i] = audible;
+        self.carrier[i] = slot.carrier;
+        self.rx_current[i] = slot.rx_current;
+        self.loss_state[i] = slot.loss;
+        self.rng[i] = slot.rng;
+        self.audible[i] = slot.audible;
     }
 
     /// Overwrites the collision counter (restore path; the counter is a
@@ -329,6 +315,54 @@ impl Channel {
     /// restore places it on one shard).
     pub fn restore_collisions(&mut self, collisions: u64) {
         self.collisions = collisions;
+    }
+}
+
+/// One node's slice of one radio class's medium: carrier count,
+/// reception lock, loss-process state, the node-local loss RNG stream and
+/// the audible received powers. The loss *model* is configuration and
+/// lives in the scenario.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChannelSlot {
+    /// Audible foreign transmissions at the pause.
+    pub carrier: u32,
+    /// The frame the receiver is locked onto, with its corruption flag.
+    pub rx_current: Option<(TxId, bool)>,
+    /// The loss process's per-node runtime state.
+    pub loss: LossState,
+    /// The node's loss stream.
+    pub rng: Rng,
+    /// Audible transmissions with their received powers (mW), in
+    /// arrival order. Empty under the disk model, which tracks only
+    /// the carrier count.
+    pub audible: Vec<(TxId, f64)>,
+}
+
+impl Persist for ChannelSlot {
+    type Ctx = ();
+    fn save(&self, e: &mut Enc) {
+        e.put(&self.carrier);
+        e.put(&self.rx_current);
+        e.put(&self.loss);
+        e.put(&self.rng);
+        e.put(&self.audible);
+    }
+    fn load(d: &mut Dec<'_>, _: ()) -> Res<Self> {
+        let slot = ChannelSlot {
+            carrier: d.get()?,
+            rx_current: d.get()?,
+            loss: d.get()?,
+            rng: d.get()?,
+            audible: d.get()?,
+        };
+        if let Some(&(_, mw)) = slot
+            .audible
+            .iter()
+            .find(|(_, mw)| !(*mw >= 0.0 && mw.is_finite()))
+        {
+            return Err(bad(format!("invalid received power {mw} mW")));
+        }
+        Ok(slot)
     }
 }
 
@@ -399,7 +433,7 @@ mod tests {
         assert!(c.audible_remove(n, a));
         assert!(!c.audible_remove(n, a), "already removed");
         assert_eq!(c.interference_mw(n, b), 0.0);
-        assert_eq!(c.audible_of(n), &[(b, 0.5)]);
+        assert_eq!(c.slot(n).audible, [(b, 0.5)]);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use bcp_core::msg::{AppPacket, BurstId, HandshakeMsg};
 use bcp_mac::types::{MacFrame, MacTimer};
 use bcp_net::addr::NodeId;
 use bcp_sim::keyed::{pack_ord, Keyed};
+use bcp_sim::persist::{bad, Dec, Enc, Persist, Res};
 use bcp_sim::time::SimTime;
 use std::sync::Arc;
 
@@ -255,6 +256,187 @@ impl Keyed for GlobalEv {
             GlobalEv::NodeDied { node, .. } => pack_ord(100, node.0, 0),
             GlobalEv::RouteRefresh => pack_ord(101, 0, 0),
         }
+    }
+}
+
+bcp_sim::persist!(enum Class [Low, High]);
+
+bcp_sim::persist!(TxId(u64));
+
+impl Persist for Payload {
+    type Ctx = ();
+    fn save(&self, e: &mut Enc) {
+        match self {
+            Payload::SensorData(pkt) => {
+                e.u8(0);
+                e.put(pkt);
+            }
+            Payload::Control { msg, dst } => {
+                e.u8(1);
+                e.put(msg);
+                e.put(dst);
+            }
+            Payload::Burst {
+                burst,
+                index,
+                count,
+                packets,
+            } => {
+                e.u8(2);
+                e.put(burst);
+                e.put(index);
+                e.put(count);
+                e.put(&**packets);
+            }
+        }
+    }
+    fn load(d: &mut Dec<'_>, _: ()) -> Res<Self> {
+        Ok(match d.u8()? {
+            0 => Payload::SensorData(d.get()?),
+            1 => Payload::Control {
+                msg: d.get()?,
+                dst: d.get()?,
+            },
+            2 => Payload::Burst {
+                burst: d.get()?,
+                index: d.get()?,
+                count: d.get()?,
+                packets: Arc::new(d.get()?),
+            },
+            b => return Err(bad(format!("invalid payload tag {b}"))),
+        })
+    }
+}
+
+/// An event is its tag (its position in the enum) and its fields.
+impl Persist for Ev {
+    type Ctx = ();
+    fn save(&self, e: &mut Enc) {
+        let tag = match self {
+            Ev::AppArrival { .. } => 0,
+            Ev::MacTimer { .. } => 1,
+            Ev::TxEnd { .. } => 2,
+            Ev::RxBegin { .. } => 3,
+            Ev::RxEnd { .. } => 4,
+            Ev::RadioWakeDone { .. } => 5,
+            Ev::BcpAckTimer { .. } => 6,
+            Ev::BcpDataTimer { .. } => 7,
+            Ev::HighIdleOff { .. } => 8,
+            Ev::Flush { .. } => 9,
+            Ev::PowerCheck { .. } => 10,
+            Ev::WakeSample { .. } => 11,
+            Ev::Sleep { .. } => 12,
+        };
+        e.u8(tag);
+        match self {
+            Ev::AppArrival { node }
+            | Ev::RadioWakeDone { node }
+            | Ev::HighIdleOff { node }
+            | Ev::Flush { node }
+            | Ev::PowerCheck { node }
+            | Ev::WakeSample { node }
+            | Ev::Sleep { node } => e.put(node),
+            Ev::MacTimer { node, class, kind } => {
+                e.put(node);
+                e.put(class);
+                e.put(kind);
+            }
+            Ev::TxEnd { tx } => e.put(tx),
+            Ev::RxBegin {
+                tx,
+                sender,
+                class,
+                kind,
+            } => {
+                e.put(tx);
+                e.put(sender);
+                e.put(class);
+                e.put(kind);
+            }
+            Ev::RxEnd {
+                tx,
+                sender,
+                class,
+                frame,
+                sender_died,
+                payload,
+            } => {
+                e.put(tx);
+                e.put(sender);
+                e.put(class);
+                e.put(frame);
+                e.boolean(*sender_died);
+                e.put(payload);
+            }
+            Ev::BcpAckTimer { node, burst } | Ev::BcpDataTimer { node, burst } => {
+                e.put(node);
+                e.put(burst);
+            }
+        }
+    }
+    fn load(d: &mut Dec<'_>, _: ()) -> Res<Self> {
+        Ok(match d.u8()? {
+            0 => Ev::AppArrival { node: d.get()? },
+            1 => Ev::MacTimer {
+                node: d.get()?,
+                class: d.get()?,
+                kind: d.get()?,
+            },
+            2 => Ev::TxEnd { tx: d.get()? },
+            3 => Ev::RxBegin {
+                tx: d.get()?,
+                sender: d.get()?,
+                class: d.get()?,
+                kind: d.get()?,
+            },
+            4 => Ev::RxEnd {
+                tx: d.get()?,
+                sender: d.get()?,
+                class: d.get()?,
+                frame: d.get()?,
+                sender_died: d.boolean()?,
+                payload: d.get()?,
+            },
+            5 => Ev::RadioWakeDone { node: d.get()? },
+            6 => Ev::BcpAckTimer {
+                node: d.get()?,
+                burst: d.get()?,
+            },
+            7 => Ev::BcpDataTimer {
+                node: d.get()?,
+                burst: d.get()?,
+            },
+            8 => Ev::HighIdleOff { node: d.get()? },
+            9 => Ev::Flush { node: d.get()? },
+            10 => Ev::PowerCheck { node: d.get()? },
+            11 => Ev::WakeSample { node: d.get()? },
+            12 => Ev::Sleep { node: d.get()? },
+            b => return Err(bad(format!("invalid event tag {b}"))),
+        })
+    }
+}
+
+impl Persist for GlobalEv {
+    type Ctx = ();
+    fn save(&self, e: &mut Enc) {
+        match self {
+            GlobalEv::NodeDied { node, at } => {
+                e.u8(0);
+                e.put(node);
+                e.put(at);
+            }
+            GlobalEv::RouteRefresh => e.u8(1),
+        }
+    }
+    fn load(d: &mut Dec<'_>, _: ()) -> Res<Self> {
+        Ok(match d.u8()? {
+            0 => GlobalEv::NodeDied {
+                node: d.get()?,
+                at: d.get()?,
+            },
+            1 => GlobalEv::RouteRefresh,
+            b => return Err(bad(format!("invalid global event tag {b}"))),
+        })
     }
 }
 

@@ -614,6 +614,33 @@ impl RunStats {
     }
 }
 
+bcp_sim::persist!(FlowStats {
+    generated_packets,
+    generated_bits,
+    delivered_packets,
+    delivered_bits,
+    delay
+});
+
+bcp_sim::persist!(Metrics {
+    generated_packets,
+    generated_bits,
+    delivered_packets,
+    delivered_bits,
+    flows,
+    drops_buffer,
+    drops_mac,
+    residual_packets,
+    handshakes,
+    radio_wakeups,
+    collisions,
+    node_deaths,
+    first_death,
+    partition,
+    delivered_before_first_death,
+    generated_before_first_death
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -481,3 +481,13 @@ impl PdesControl<ShardState> for Control {
         series.record(now, scan, queue_depths.to_vec());
     }
 }
+
+bcp_sim::persist!(Cumulative {
+    gen_p,
+    gen_b,
+    del_p,
+    del_b,
+    energy_j,
+    low_idle_j,
+    low_sleep_j
+});

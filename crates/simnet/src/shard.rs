@@ -973,3 +973,13 @@ impl ShardState {
         }
     }
 }
+
+bcp_sim::persist!(enum Fate [Pending, Delivered, LostMac, LostBuffer]);
+
+bcp_sim::persist!(FateMark { fate, key });
+
+bcp_sim::persist!(ActiveTx {
+    sender,
+    class,
+    frame
+});

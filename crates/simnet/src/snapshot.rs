@@ -32,7 +32,7 @@
 //!   single-shard stepper, checking liveness/energy invariants in each
 //!   interleaving.
 
-use crate::channel::Channel;
+use crate::channel::ChannelSlot;
 use crate::events::{Class, Ev, GlobalEv, Payload, TxId};
 use crate::metrics::Metrics;
 use crate::node::NodeState;
@@ -40,23 +40,19 @@ use crate::routes::{Control, SeriesState, SharedNet};
 use crate::scenario::{HighRoute, Scenario};
 use crate::shard::ShardState;
 use crate::world::{merge_mark, LiveWorld, RunOptions, Scaffold};
-use bcp_core::receiver::{BcpReceiver, ReceiverSnapshot};
-use bcp_core::sender::{BcpSender, SenderSnapshot};
-use bcp_mac::csma::{CsmaMac, MacConfig, MacSnapshot};
 use bcp_mac::types::{FrameKind, MacAddr};
 use bcp_net::addr::{AddrMap, HighAddr, LowAddr, NodeId};
-use bcp_net::loss::LossState;
-use bcp_net::routing::{Dissemination, RouteWeight, Routes, ShortcutTable};
+use bcp_net::propagation::PhysModel;
+use bcp_net::routing::{Dissemination, RouteWeight, Routes};
 use bcp_power::{BatteryModel, PowerConfig, PowerSupply};
-use bcp_radio::device::{Radio, RadioState};
-use bcp_radio::energy::{EnergyBucket, EnergyLedger};
-use bcp_radio::profile::RadioProfile;
-use bcp_radio::units::{Energy, Power};
+use bcp_radio::device::RadioState;
 use bcp_sim::conservative::{EngineCounters, SingleStepper};
 use bcp_sim::keyed::{EvKey, Keyed, ShardQueue};
+use bcp_sim::persist::{bad, Dec, Enc, Persist, Res};
+use bcp_sim::rng::Rng;
 use bcp_sim::time::{SimDuration, SimTime};
 use bcp_sim::trace::TraceRecord;
-use bcp_traffic::Workload;
+use bcp_traffic::TrafficPattern;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -66,87 +62,6 @@ pub use crate::shard::{ActiveTx, Fate, FateKey, FateMark};
 // ---------------------------------------------------------------------
 // The captured state
 // ---------------------------------------------------------------------
-
-/// One radio's captured registers: the power state plus the energy
-/// ledger's raw accumulators.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RadioSnapshot {
-    /// The radio's power state at the pause.
-    pub state: RadioState,
-    /// The ledger's per-bucket accumulated energy.
-    pub buckets: [Energy; 7],
-    /// When the ledger's open bucket started accumulating.
-    pub since: SimTime,
-    /// The draw of the open bucket.
-    pub power: Power,
-    /// Which bucket is open.
-    pub bucket: EnergyBucket,
-}
-
-/// One node's slice of one radio class's medium: carrier count,
-/// reception lock, loss-process state, and the node-local loss RNG
-/// stream. The loss *model* is configuration and lives in the
-/// scenario; only its per-node runtime state is captured here.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChannelSlot {
-    /// Audible foreign transmissions at the pause.
-    pub carrier: u32,
-    /// The frame the receiver is locked onto, with its corruption flag.
-    pub rx_current: Option<(TxId, bool)>,
-    /// The loss process's per-node runtime state.
-    pub loss: LossState,
-    /// The raw xoshiro state of the node's loss stream.
-    pub rng: [u64; 4],
-    /// Audible transmissions with their received powers (mW), in
-    /// arrival order. Empty under the disk model, which tracks only
-    /// the carrier count.
-    pub audible: Vec<(TxId, f64)>,
-}
-
-/// One node's complete captured state, indexed by global node id.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeSnapshot {
-    /// The node.
-    pub id: NodeId,
-    /// Low-radio MAC registers.
-    pub low_mac: MacSnapshot,
-    /// Low radio power state and ledger.
-    pub low_radio: RadioSnapshot,
-    /// High-radio MAC registers (models with a high radio only).
-    pub high_mac: Option<MacSnapshot>,
-    /// High radio power state and ledger.
-    pub high_radio: Option<RadioSnapshot>,
-    /// BCP sender machine (dual-radio model only).
-    pub bcp_tx: Option<SenderSnapshot>,
-    /// BCP receiver machine (dual-radio model only).
-    pub bcp_rx: Option<ReceiverSnapshot>,
-    /// The traffic source, cloned whole (it is plain state + an RNG).
-    pub workload: Option<Workload>,
-    /// Bytes of the due-but-unqueued arrival (see `Ev::AppArrival`).
-    pub pending_bytes: usize,
-    /// Application packet sequence counter.
-    pub app_seq: u64,
-    /// Transmission id sequence counter.
-    pub tx_seq: u64,
-    /// Payload tag sequence counter.
-    pub tag_seq: u64,
-    /// High-radio power votes held.
-    pub high_refs: u32,
-    /// Bursts waiting for the high radio to finish powering up.
-    pub wake_pending: Vec<bcp_core::msg::BurstId>,
-    /// Accumulated header-overhear energy attribution.
-    pub header_overhear: Energy,
-    /// Learned high-radio shortcut table.
-    pub shortcuts: ShortcutTable,
-    /// Promiscuous-listen deadline for shortcut learning.
-    pub listen_until: SimTime,
-    /// Battery registers `(drawn, synced)`; `None` on mains power.
-    pub supply: Option<(Energy, Energy)>,
-    /// When the node died, if it did.
-    pub died_at: Option<SimTime>,
-    /// The node's medium slots, low class then high class.
-    pub channels: [ChannelSlot; 2],
-}
 
 /// The series sampler's captured grid position. The emitted samples are
 /// *not* captured — they were already delivered to whoever ran the first
@@ -197,8 +112,10 @@ pub struct WorldState {
     pub events_logical: u64,
     /// Global (coordinator) events executed so far.
     pub global_events: u64,
-    /// Every node's state, in node-id order, one entry per node.
-    pub nodes: Vec<NodeSnapshot>,
+    /// Every node's live state, in node-id order, one entry per node.
+    pub nodes: Vec<NodeState>,
+    /// Every node's medium slots (low class, then high), in node-id order.
+    pub channels: Vec<[ChannelSlot; 2]>,
     /// The canonical pending shard events, sorted by key, with the
     /// per-shard halves of each reception fan-out merged back into one
     /// entry (the restore re-fans them out under the new partition).
@@ -234,6 +151,152 @@ pub struct WorldState {
     pub shadow: Option<ShadowSnapshot>,
 }
 
+bcp_sim::persist!(SeriesSnapshot {
+    every,
+    next,
+    last,
+    prev
+});
+
+impl Persist for ShadowSnapshot {
+    type Ctx = ();
+    fn save(&self, e: &mut Enc) {
+        e.put(&self.low);
+        e.put(&self.high);
+        for w in self.rng {
+            e.u64(w);
+        }
+    }
+    fn load(d: &mut Dec<'_>, _: ()) -> Res<Self> {
+        let sh = ShadowSnapshot {
+            low: d.get()?,
+            high: d.get()?,
+            rng: [d.u64()?, d.u64()?, d.u64()?, d.u64()?],
+        };
+        if let Some(v) = sh.low.iter().chain(&sh.high).find(|v| !v.is_finite()) {
+            return Err(bad(format!("non-finite shadowing offset {v} dB")));
+        }
+        Ok(sh)
+    }
+}
+
+/// Everything but the scenario, which the checkpoint frame embeds as text
+/// and a load takes as `Ctx`. The load checks the state against it — node
+/// count, pause within the horizon, every node id in range, each node's
+/// parts and tables shaped as the scenario builds them — so whatever it
+/// accepts, [`LiveWorld::restore`] can run.
+impl Persist for WorldState {
+    type Ctx = Scenario;
+    fn save(&self, e: &mut Enc) {
+        e.put(&self.time);
+        e.u64(self.events_logical);
+        e.u64(self.global_events);
+        e.count(self.nodes.len());
+        for (node, slots) in self.nodes.iter().zip(&self.channels) {
+            e.put(node);
+            e.put(&slots[0]);
+            e.put(&slots[1]);
+        }
+        e.put(&self.pending);
+        e.put(&self.pending_globals);
+        e.put(&self.payloads);
+        e.put(&self.txs);
+        e.put(&self.lpl_audible);
+        e.put(&self.fates);
+        e.u64(self.collisions);
+        e.put(&self.metrics);
+        e.put(&self.low_routes);
+        e.put(&self.high_routes);
+        e.put(&self.alive);
+        e.boolean(self.death_seen);
+        e.opt(self.dissem.as_ref());
+        e.put(&self.series);
+        e.put(&self.shadow);
+    }
+    fn load(d: &mut Dec<'_>, scen: Scenario) -> Res<Self> {
+        let n = scen.topo.len();
+        d.bound_ids(n);
+        let time: SimTime = d.get()?;
+        d.set_now(time);
+        if time > scen.end_time() {
+            return Err(bad(format!(
+                "pause {time} is past the horizon {}",
+                scen.end_time()
+            )));
+        }
+        let (events_logical, global_events) = (d.u64()?, d.u64()?);
+        let stored = d.count()?;
+        if stored != n {
+            return Err(bad(format!("{stored} nodes stored, the scenario has {n}")));
+        }
+        // Each node loads into the node the scenario builds; the seeds
+        // drawn here are overwritten by the stored streams.
+        let addr = AddrMap::for_nodes(n);
+        let mut seeds = Rng::new(1);
+        let (mut nodes, mut channels) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for i in 0..n {
+            let blank = NodeState::new(&scen, &addr, NodeId(i as u32), &mut seeds);
+            let node = NodeState::load(d, blank).map_err(|e| bad(format!("node {i}: {e}")))?;
+            check_power(&node, time).map_err(|e| bad(format!("node {i}: {e}")))?;
+            nodes.push(node);
+            channels.push([d.get()?, d.get()?]);
+        }
+        let state = WorldState {
+            time,
+            events_logical,
+            global_events,
+            nodes,
+            channels,
+            pending: d.get()?,
+            pending_globals: d.get()?,
+            payloads: d.get()?,
+            txs: d.get()?,
+            lpl_audible: d.get()?,
+            fates: d.get()?,
+            collisions: d.u64()?,
+            metrics: d.get()?,
+            low_routes: Routes::load(d, n)?,
+            high_routes: Routes::load(d, n)?,
+            alive: d.get()?,
+            death_seen: d.boolean()?,
+            dissem: d.opt_into(
+                matches!(scen.pattern, TrafficPattern::Broadcast { .. }).then_some(n),
+                "the dissemination tree",
+            )?,
+            series: d.get()?,
+            shadow: d.get()?,
+            scen,
+        };
+        state.check_references()?;
+        Ok(state)
+    }
+}
+
+/// A node's power state as a run leaves it: a dead node has both radios
+/// off, a live one its low radio on (only death turns it off), and a
+/// battery never synced past what the meters recorded.
+fn check_power(node: &NodeState, time: SimTime) -> Res<()> {
+    let low = node.low_radio.state();
+    let ok = if node.is_alive() {
+        !matches!(low, RadioState::Off | RadioState::WakingUp)
+    } else {
+        low == RadioState::Off
+            && node
+                .high_radio
+                .as_ref()
+                .map_or(true, |r| r.state() == RadioState::Off)
+    };
+    if !ok {
+        return Err(bad("radio power state contradicts the node's liveness"));
+    }
+    match &node.supply {
+        Some(s) if s.synced() > node.metered_total(time) => {
+            Err(bad("battery synced past its meters"))
+        }
+        _ => Ok(()),
+    }
+}
+
 impl WorldState {
     /// `self` with the scenario's shard count replaced — the way to
     /// restore a checkpoint under a different partition than it was
@@ -242,6 +305,102 @@ impl WorldState {
         let mut out = self.clone();
         out.scen.shards = shards;
         out
+    }
+
+    /// Checks the parts reference each other as a run leaves them: every
+    /// pending event falls at or after the pause and acts on a part its
+    /// node has, every node-scoped id (packet, payload tag, transmission)
+    /// was issued by its node, and every data frame queued or on the air
+    /// has its payload. Node ids are range-checked as they decode.
+    fn check_references(&self) -> Res<()> {
+        let n = self.nodes.len();
+        let issued = |id: u64, counter: fn(&NodeState) -> u64| -> Res<()> {
+            let node = &self.nodes[NodeId((id >> 40) as u32).within(n)?.index()];
+            if id & 0xff_ffff_ffff >= counter(node) {
+                return Err(bad(format!("id {id} was never issued by node {}", node.id)));
+            }
+            Ok(())
+        };
+        for (key, ev) in &self.pending {
+            if key.time < self.time {
+                return Err(bad(format!("event at {} precedes the pause", key.time)));
+            }
+            let node = &self.nodes[ev_node(ev).within(n)?.index()];
+            let has_part = match *ev {
+                Ev::AppArrival { .. } => node.workload.is_some(),
+                Ev::MacTimer { class, .. } => node.has_class(class),
+                Ev::TxEnd { tx } => self.txs.binary_search_by_key(&tx.0, |t| t.0).is_ok(),
+                Ev::RxBegin {
+                    tx, sender, class, ..
+                }
+                | Ev::RxEnd {
+                    tx, sender, class, ..
+                } => tx.sender() == sender && node.has_class(class),
+                _ => true,
+            };
+            if !has_part {
+                return Err(bad(format!("{ev:?} does not match node {}", node.id)));
+            }
+        }
+        for (key, _) in &self.pending_globals {
+            if key.time < self.time {
+                return Err(bad(format!("event at {} precedes the pause", key.time)));
+            }
+        }
+        let ascending = self.payloads.windows(2).all(|w| w[0].0 < w[1].0)
+            && self.txs.windows(2).all(|w| w[0].0 < w[1].0);
+        if !ascending {
+            return Err(bad(
+                "payload or transmission ids are not in ascending order",
+            ));
+        }
+        for (tag, _) in &self.payloads {
+            issued(*tag, |n| n.tag_seq)?;
+        }
+        for (id, tx) in &self.txs {
+            issued(*id, |n| n.tx_seq)?;
+            let sender = &self.nodes[tx.sender.index()];
+            // A live sender is still transmitting; a dead one cut it short.
+            let sending = !sender.is_alive()
+                || sender.radio(tx.class).map(|r| r.state()) == Some(RadioState::Transmitting);
+            if TxId(*id).sender() != tx.sender || !sending {
+                return Err(bad(format!("transmission {id} does not match its sender")));
+            }
+        }
+        // Every data frame queued or on the air carries its payload's tag.
+        let macs = self
+            .nodes
+            .iter()
+            .flat_map(|n| [Some(&n.low_mac), n.high_mac.as_ref()]);
+        let queued = macs.flatten().flat_map(|m| m.queued());
+        for f in queued.chain(self.txs.iter().map(|(_, tx)| &tx.frame)) {
+            let stored = self.payloads.binary_search_by_key(&f.tag, |p| p.0).is_ok();
+            if f.kind == FrameKind::Data && !stored {
+                return Err(bad(format!("frame {} has no payload", f.id.0)));
+            }
+        }
+        for (node, _) in &self.lpl_audible {
+            NodeId(*node).within(n)?;
+        }
+        for ((pkt, dst), _) in &self.fates {
+            issued(*pkt, |n| n.app_seq)?;
+            NodeId(*dst).within(n)?;
+        }
+        if self.alive.len() != n {
+            return Err(bad(format!(
+                "liveness of {} nodes, not {n}",
+                self.alive.len()
+            )));
+        }
+        let pairs = n * n.saturating_sub(1) / 2;
+        let logn = matches!(self.scen.phys, PhysModel::LogNormal { .. });
+        match &self.shadow {
+            None if !logn => Ok(()),
+            Some(sh) if logn && sh.low.len() == pairs && sh.high.len() == pairs => Ok(()),
+            _ => Err(bad(
+                "shadowing does not match the scenario's propagation model",
+            )),
+        }
     }
 }
 
@@ -292,14 +451,13 @@ pub(crate) fn capture(lw: &LiveWorld) -> WorldState {
         .map(|(k, e)| (k, e.clone()))
         .collect();
 
-    let nodes: Vec<NodeSnapshot> = (0..n)
-        .map(|i| {
-            let id = NodeId(i as u32);
-            let shard = &lw.shards[scaf.part.shard_of(id)].0;
-            let node = shard.nodes[i].as_ref().expect("owner has the node");
-            capture_node(node, shard)
-        })
-        .collect();
+    let (mut nodes, mut channels) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for i in 0..n {
+        let id = NodeId(i as u32);
+        let shard = &lw.shards[scaf.part.shard_of(id)].0;
+        nodes.push(shard.nodes[i].clone().expect("owner has the node"));
+        channels.push([shard.chans[0].slot(id), shard.chans[1].slot(id)]);
+    }
 
     // Shard-table unions. Keys are disjoint across shards (each entry
     // lives at exactly one owner) except the fates, which reconcile
@@ -334,6 +492,7 @@ pub(crate) fn capture(lw: &LiveWorld) -> WorldState {
         events_logical: lw.shards.iter().map(|(s, _)| s.events_logical).sum(),
         global_events: lw.control.global_events,
         nodes,
+        channels,
         pending,
         pending_globals,
         payloads,
@@ -367,56 +526,6 @@ pub(crate) fn capture(lw: &LiveWorld) -> WorldState {
             }),
             _ => None,
         },
-    }
-}
-
-fn capture_radio(r: &Radio) -> RadioSnapshot {
-    let (buckets, since, power, bucket) = r.ledger().raw_parts();
-    RadioSnapshot {
-        state: r.state(),
-        buckets,
-        since,
-        power,
-        bucket,
-    }
-}
-
-fn capture_slot(c: &Channel, id: NodeId) -> ChannelSlot {
-    let (carrier, rx_current, loss, rng) = c.node_state(id);
-    ChannelSlot {
-        carrier,
-        rx_current,
-        loss,
-        rng,
-        audible: c.audible_of(id).to_vec(),
-    }
-}
-
-fn capture_node(n: &NodeState, shard: &ShardState) -> NodeSnapshot {
-    NodeSnapshot {
-        id: n.id,
-        low_mac: n.low_mac.snapshot_state(),
-        low_radio: capture_radio(&n.low_radio),
-        high_mac: n.high_mac.as_ref().map(CsmaMac::snapshot_state),
-        high_radio: n.high_radio.as_ref().map(capture_radio),
-        bcp_tx: n.bcp_tx.as_ref().map(BcpSender::snapshot_state),
-        bcp_rx: n.bcp_rx.as_ref().map(BcpReceiver::snapshot_state),
-        workload: n.workload.clone(),
-        pending_bytes: n.pending_bytes,
-        app_seq: n.app_seq,
-        tx_seq: n.tx_seq,
-        tag_seq: n.tag_seq,
-        high_refs: n.high_refs,
-        wake_pending: n.wake_pending.clone(),
-        header_overhear: n.header_overhear,
-        shortcuts: n.shortcuts.clone(),
-        listen_until: n.listen_until,
-        supply: n.supply.as_ref().map(|s| (s.battery().drawn(), s.synced())),
-        died_at: n.died_at,
-        channels: [
-            capture_slot(&shard.chans[0], n.id),
-            capture_slot(&shard.chans[1], n.id),
-        ],
     }
 }
 
@@ -487,19 +596,12 @@ pub(crate) fn restore(state: &WorldState, opts: &RunOptions) -> LiveWorld {
         })
         .collect();
 
-    for snap in &state.nodes {
-        let (s, _) = &mut shards[part.shard_of(snap.id)];
-        for (ci, slot) in snap.channels.iter().enumerate() {
-            s.chans[ci].restore_node_state(
-                snap.id,
-                slot.carrier,
-                slot.rx_current,
-                slot.loss,
-                slot.rng,
-                slot.audible.clone(),
-            );
+    for (node, slots) in state.nodes.iter().zip(&state.channels) {
+        let (s, _) = &mut shards[part.shard_of(node.id)];
+        for (ci, slot) in slots.iter().enumerate() {
+            s.chans[ci].restore_slot(node.id, slot.clone());
         }
-        s.nodes[snap.id.index()] = Some(restore_node(&scen, &scaf.addr, snap));
+        s.nodes[node.id.index()] = Some(node.clone());
     }
 
     // Whole-run cumulative scalars land on shard 0: the finaliser sums
@@ -600,8 +702,7 @@ pub(crate) fn restore(state: &WorldState, opts: &RunOptions) -> LiveWorld {
                 }
             }
             _ => {
-                let node = target_node(ev).expect("every other event is node-addressed");
-                let (s, q) = &mut shards[part.shard_of(node)];
+                let (s, q) = &mut shards[part.shard_of(ev_node(ev))];
                 schedule_restored(s, q, *key, ev.clone());
             }
         }
@@ -678,9 +779,9 @@ fn node_of_mac(addr: &AddrMap, mac: MacAddr, class: Class) -> Option<NodeId> {
     }
 }
 
-/// The owner of a node-addressed event (`None` for the reception
-/// fan-outs, which address shards).
-fn target_node(ev: &Ev) -> Option<NodeId> {
+/// The node an event acts on — for the reception fan-outs, which address
+/// shards, the sending node.
+fn ev_node(ev: &Ev) -> NodeId {
     match *ev {
         Ev::AppArrival { node }
         | Ev::MacTimer { node, .. }
@@ -691,9 +792,9 @@ fn target_node(ev: &Ev) -> Option<NodeId> {
         | Ev::Flush { node }
         | Ev::PowerCheck { node }
         | Ev::WakeSample { node }
-        | Ev::Sleep { node } => Some(node),
-        Ev::TxEnd { tx } => Some(tx.sender()),
-        Ev::RxBegin { .. } | Ev::RxEnd { .. } => None,
+        | Ev::Sleep { node } => node,
+        Ev::TxEnd { tx } => tx.sender(),
+        Ev::RxBegin { sender, .. } | Ev::RxEnd { sender, .. } => sender,
     }
 }
 
@@ -723,80 +824,6 @@ fn schedule_restored(s: &mut ShardState, q: &mut ShardQueue<Ev>, key: EvKey, ev:
             s.lpl_timers.insert(node.0, id);
         }
         _ => {}
-    }
-}
-
-fn restore_radio(profile: &RadioProfile, s: &RadioSnapshot) -> Radio {
-    let mut r = Radio::new(profile.clone(), RadioState::Idle, SimTime::ZERO);
-    r.restore_state(
-        s.state,
-        EnergyLedger::from_raw_parts(s.buckets, s.since, s.power, s.bucket),
-    );
-    r
-}
-
-fn restore_node(scen: &Scenario, addr: &AddrMap, snap: &NodeSnapshot) -> NodeState {
-    let id = snap.id;
-    let mut low_mac = CsmaMac::new(
-        MacConfig::sensor_csma(&scen.low_profile)
-            .with_wakeup_preamble(scen.low_sleep.tx_preamble()),
-        MacAddr(addr.low_of(id).0 as u64),
-        1, // placeholder seed; restore_state overwrites the stream
-    );
-    low_mac.restore_state(&snap.low_mac);
-    let high_mac = snap.high_mac.as_ref().map(|m| {
-        let mut mac = CsmaMac::new(
-            MacConfig::dot11b(&scen.high_profile),
-            MacAddr(addr.high_of(id).0),
-            1,
-        );
-        mac.restore_state(m);
-        mac
-    });
-    let bcp_tx = snap.bcp_tx.as_ref().map(|t| {
-        let mut tx = BcpSender::new(id, scen.bcp.clone());
-        tx.restore_state(t);
-        tx
-    });
-    let bcp_rx = snap.bcp_rx.as_ref().map(|r| {
-        let mut rx = BcpReceiver::new(id, scen.bcp.clone());
-        rx.restore_state(r);
-        rx
-    });
-    let battery = scen.power.battery_for(id.index(), id == scen.sink);
-    assert_eq!(
-        snap.supply.is_some(),
-        battery.is_some(),
-        "snapshot and scenario disagree on node {id}'s power source"
-    );
-    let supply = snap.supply.as_ref().map(|&(drawn, synced)| {
-        let mut sup = PowerSupply::new(battery.expect("checked above"));
-        sup.restore_state(drawn, synced);
-        sup
-    });
-    NodeState {
-        id,
-        low_mac,
-        low_radio: restore_radio(&scen.low_profile, &snap.low_radio),
-        high_mac,
-        high_radio: snap
-            .high_radio
-            .as_ref()
-            .map(|r| restore_radio(&scen.high_profile, r)),
-        bcp_tx,
-        bcp_rx,
-        workload: snap.workload.clone(),
-        pending_bytes: snap.pending_bytes,
-        app_seq: snap.app_seq,
-        tx_seq: snap.tx_seq,
-        tag_seq: snap.tag_seq,
-        high_refs: snap.high_refs,
-        wake_pending: snap.wake_pending.clone(),
-        header_overhear: snap.header_overhear,
-        shortcuts: snap.shortcuts.clone(),
-        listen_until: snap.listen_until,
-        supply,
-        died_at: snap.died_at,
     }
 }
 
@@ -884,11 +911,14 @@ pub fn fork_with_power(state: &WorldState, power: PowerConfig) -> Result<WorldSt
         else {
             continue;
         };
-        let metered = prefix_metered(node, t);
+        // What the radios metered through the prefix, charged at once.
+        let metered = node.metered_total(t);
         if metered >= batt.capacity() {
             return Err(ForkError::PrefixExceedsBattery { node: node.id.0 });
         }
-        node.supply = Some((metered, metered));
+        let mut supply = PowerSupply::new(batt);
+        supply.restore_state(metered, metered);
+        node.supply = Some(supply);
         let ev = Ev::PowerCheck { node: node.id };
         injected.push((
             EvKey {
@@ -902,21 +932,6 @@ pub fn fork_with_power(state: &WorldState, power: PowerConfig) -> Result<WorldSt
     out.pending.extend(injected);
     out.pending.sort_by_key(|e| e.0);
     Ok(out)
-}
-
-/// What a node's radios metered through the prefix, folded low then high
-/// exactly as [`NodeState::metered_total`] folds it.
-fn prefix_metered(node: &NodeSnapshot, t: SimTime) -> Energy {
-    let total = |r: &RadioSnapshot| {
-        EnergyLedger::from_raw_parts(r.buckets, r.since, r.power, r.bucket)
-            .snapshot(t)
-            .total()
-    };
-    let mut e = total(&node.low_radio);
-    if let Some(hr) = &node.high_radio {
-        e += total(hr);
-    }
-    e
 }
 
 // ---------------------------------------------------------------------

@@ -27,6 +27,7 @@
 #![warn(missing_debug_implementations)]
 
 use bcp_net::addr::NodeId;
+use bcp_sim::persist::{bad, Dec, Enc, Persist, Res};
 use bcp_sim::rng::Rng;
 use bcp_sim::time::{SimDuration, SimTime};
 
@@ -341,6 +342,111 @@ impl Workload {
                 Some((t, *packet_bytes))
             }
         }
+    }
+}
+
+/// The whole source, configuration included. `Ctx` is the source the
+/// scenario builds, whose configuration a load must reproduce.
+impl Persist for Workload {
+    type Ctx = Workload;
+    fn save(&self, e: &mut Enc) {
+        match self {
+            Workload::Cbr {
+                packet_bytes,
+                interval,
+                next_at,
+            } => {
+                e.u8(0);
+                e.put(packet_bytes);
+                e.put(interval);
+                e.put(next_at);
+            }
+            Workload::Poisson {
+                packet_bytes,
+                mean_interval,
+                next_at,
+                rng,
+            } => {
+                e.u8(1);
+                e.put(packet_bytes);
+                e.put(mean_interval);
+                e.put(next_at);
+                e.put(rng);
+            }
+            Workload::OnOffBursty {
+                packet_bytes,
+                interval,
+                mean_on,
+                mean_off,
+                next_at,
+                on_until,
+                rng,
+            } => {
+                e.u8(2);
+                e.put(packet_bytes);
+                e.put(interval);
+                e.put(mean_on);
+                e.put(mean_off);
+                e.put(next_at);
+                e.put(on_until);
+                e.put(rng);
+            }
+        }
+    }
+    fn load(d: &mut Dec<'_>, blank: Workload) -> Res<Self> {
+        let w = match d.tag(&[0, 1, 2], "workload tag")? {
+            0 => Workload::Cbr {
+                packet_bytes: d.get()?,
+                interval: d.get()?,
+                next_at: d.get()?,
+            },
+            1 => Workload::Poisson {
+                packet_bytes: d.get()?,
+                mean_interval: d.get()?,
+                next_at: d.get()?,
+                rng: d.get()?,
+            },
+            _ => Workload::OnOffBursty {
+                packet_bytes: d.get()?,
+                interval: d.get()?,
+                mean_on: d.get()?,
+                mean_off: d.get()?,
+                next_at: d.get()?,
+                on_until: d.get()?,
+                rng: d.get()?,
+            },
+        };
+        // Given the scenario's arrival registers, the stored source must
+        // be the scenario's: same kind, size and intervals.
+        let mut config = w.clone();
+        match (&mut config, &blank) {
+            (Workload::Cbr { next_at, .. }, Workload::Cbr { next_at: n, .. }) => *next_at = *n,
+            (
+                Workload::Poisson { next_at, rng, .. },
+                Workload::Poisson {
+                    next_at: n, rng: r, ..
+                },
+            ) => (*next_at, *rng) = (*n, r.clone()),
+            (
+                Workload::OnOffBursty {
+                    next_at,
+                    on_until,
+                    rng,
+                    ..
+                },
+                Workload::OnOffBursty {
+                    next_at: n,
+                    on_until: u,
+                    rng: r,
+                    ..
+                },
+            ) => (*next_at, *on_until, *rng) = (*n, *u, r.clone()),
+            _ => {}
+        }
+        if config != blank {
+            return Err(bad("workload disagrees with the scenario"));
+        }
+        Ok(w)
     }
 }
 

@@ -1,6 +1,6 @@
-//! Seeded mutation fuzzing of the text that arrives from outside the
+//! Seeded mutation fuzzing of the input that arrives from outside the
 //! program: `.scn` scenario files, `.sweep` grid files, `repro serve`
-//! request lines and the trace/series NDJSON streams.
+//! request lines, the trace/series NDJSON streams and checkpoint frames.
 //!
 //! Every case starts from a real input — a checked-in file under
 //! `examples/specs/`, a request line built by `bcp_serve::proto`, or an
@@ -8,14 +8,20 @@
 //! number replaced by a hostile token, a separator inserted, or a byte
 //! changed. Every parser must return `Ok` or a typed error and never
 //! panic or abort; an `Ok` scenario must round-trip through `emit_spec`,
-//! and an `Ok` sweep must expand and build its jobs. Cases come from the
-//! in-repo [`Rng`], so a failure reproduces by its case index.
+//! and an `Ok` sweep must expand and build its jobs. A checkpoint frame
+//! with a mutated payload (checksum recomputed, so the decoder sees it)
+//! must be a typed error or a state that restores and runs on. Cases
+//! come from the in-repo [`Rng`], so a failure reproduces by its case
+//! index.
 
 use bcp::experiments::suite::parse_sweep;
 use bcp::sim::json;
+use bcp::sim::persist::{Dec, Enc};
 use bcp::sim::rng::Rng;
-use bcp::sim::time::SimDuration;
-use bcp::simnet::{emit_spec, parse_spec, RunOptions};
+use bcp::sim::time::{SimDuration, SimTime};
+use bcp::simnet::events::{Ev, TxId};
+use bcp::simnet::{emit_spec, parse_spec, LiveWorld, RunOptions, World, WorldState};
+use bcp::snapshot::{from_bytes, to_bytes, SnapshotError};
 use bcp_serve::proto::{parse_request, status_line, submit_line, watch_line, CellSpec, Request};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -228,4 +234,187 @@ fn mutated_ndjson_lines_parse_or_fail_cleanly() {
     fuzz(&corpus, JSON_SEPS, 0x4D1, |line| {
         let _ = json::parse(line);
     });
+}
+
+/// The FNV-1a-64 checksum a checkpoint frame ends with.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x1_0000_01b3)
+    })
+}
+
+/// `frame` with its checksum recomputed, so edits reach the decoder.
+fn reseal(mut frame: Vec<u8>) -> Vec<u8> {
+    let end = frame.len() - 8;
+    let sum = fnv1a64(&frame[12..end]);
+    frame[end..].copy_from_slice(&sum.to_le_bytes());
+    frame
+}
+
+/// `spec` paused `t` seconds in.
+fn paused(spec: &str, t: u64) -> WorldState {
+    let path = format!("{}/examples/specs/{spec}.scn", env!("CARGO_MANIFEST_DIR"));
+    let scen = parse_spec(&std::fs::read_to_string(path).expect("readable")).expect("parses");
+    let mut lw = World::build(&scen, &RunOptions::default());
+    lw.run_to(SimTime::from_secs(t));
+    lw.snapshot()
+}
+
+/// Checkpoints that pass the checksum but do not describe a world their
+/// scenario can run, one per way the decoder once accepted such a file:
+/// `(what, frame)`.
+fn crafted_checkpoints() -> Vec<(&'static str, Vec<u8>)> {
+    let race = paused("race_5node", 9);
+    let mut rows = Vec::new();
+
+    // Node 0's low-MAC access state: the byte after the four RNG words.
+    let mut e = Enc::new();
+    e.str(&emit_spec(&race.scen).expect("representable"));
+    e.put(&race.time);
+    e.u64(race.events_logical);
+    e.u64(race.global_events);
+    e.count(race.nodes.len());
+    e.put(&race.nodes[0].id);
+    let prefix = e.into_bytes().len();
+    let mut e = Enc::new();
+    e.put(&race.nodes[0].low_mac);
+    let mac = e.into_bytes();
+    let mut d = Dec::new(&mac);
+    for _ in 0..4 {
+        d.u64().expect("rng word");
+    }
+    let at = 12 + prefix + mac.len() - d.remaining();
+    let mut frame = to_bytes(&race).expect("encodes");
+    assert!(frame[at] < 7, "offset lands on the access byte");
+    frame[at] = 9;
+    rows.push(("MAC access byte 9", reseal(frame)));
+
+    let mut dropped = race.clone();
+    dropped.nodes.pop();
+    dropped.channels.pop();
+    rows.push(("a dropped node", to_bytes(&dropped).expect("encodes")));
+
+    let mut late = race.clone();
+    late.time = late.scen.end_time() + SimDuration::from_secs(1);
+    rows.push((
+        "a pause past the horizon",
+        to_bytes(&late).expect("encodes"),
+    ));
+
+    let mut tagged = race.clone();
+    tagged
+        .payloads
+        .push((99 << 40, tagged.payloads[0].1.clone()));
+    rows.push((
+        "a payload tag naming node 99",
+        to_bytes(&tagged).expect("encodes"),
+    ));
+
+    let mut fated = race.clone();
+    let ((pkt, _), mark) = fated.fates[0];
+    fated.fates.push(((pkt, 99), mark));
+    rows.push((
+        "a fate key naming node 99",
+        to_bytes(&fated).expect("encodes"),
+    ));
+
+    // A pending transmission end whose id names node 99.
+    let mut ended = race.clone();
+    ended.pending[0].1 = Ev::TxEnd { tx: TxId(99 << 40) };
+    rows.push((
+        "a pending TxEnd naming node 99",
+        to_bytes(&ended).expect("encodes"),
+    ));
+
+    // A scenario whose buffers are smaller than what a sender holds.
+    let mut small = paused("single_hop", 9);
+    let held = small
+        .nodes
+        .iter()
+        .filter_map(|n| n.bcp_tx.as_ref())
+        .map(|tx| tx.buffers().total_bytes())
+        .max()
+        .expect("dual-radio senders");
+    assert!(held > 1, "some sender buffers data");
+    small.scen.bcp.buffer_cap_bytes = held - 1;
+    small.scen.bcp.threshold_bytes = small.scen.bcp.threshold_bytes.min(held - 1);
+    rows.push((
+        "a buffer over its capacity",
+        to_bytes(&small).expect("encodes"),
+    ));
+    rows
+}
+
+#[test]
+fn crafted_checkpoints_are_decode_errors() {
+    for (what, frame) in crafted_checkpoints() {
+        match from_bytes(&frame) {
+            Err(SnapshotError::Decode(_)) => {}
+            Err(e) => panic!("{what}: wrong error kind: {e}"),
+            Ok(_) => panic!("{what}: decoded"),
+        }
+    }
+}
+
+/// Frame fuzz cases (each restores and runs a second when it decodes).
+const FRAME_CASES: u64 = 600;
+
+/// Restores `frame` when it decodes and runs one more simulated second.
+fn resume_or_reject(frame: &[u8]) {
+    if let Ok(state) = from_bytes(frame) {
+        let end = (state.time + SimDuration::from_secs(1)).min(state.scen.end_time());
+        let mut lw = LiveWorld::restore(&state, &RunOptions::default());
+        if end > state.time {
+            lw.run_to(end);
+        }
+    }
+}
+
+#[test]
+fn mutated_checkpoints_fail_cleanly_or_resume() {
+    let mut corpus: Vec<(String, Vec<u8>)> = [
+        ("race_5node", 9),
+        ("lifetime", 9),
+        ("broadcast_demo", 9),
+        ("shadowed_grid", 9),
+        ("lossy_audio", 23),
+        ("gossip_pairs", 9),
+    ]
+    .into_iter()
+    .map(|(spec, t)| {
+        (
+            spec.to_string(),
+            to_bytes(&paused(spec, t)).expect("encodes"),
+        )
+    })
+    .collect();
+    // The three that crashed the restore before decoding checked them.
+    corpus.extend(
+        crafted_checkpoints()
+            .into_iter()
+            .take(3)
+            .map(|(what, frame)| (what.to_string(), frame)),
+    );
+    for (name, frame) in &corpus {
+        if catch_unwind(AssertUnwindSafe(|| resume_or_reject(frame))).is_err() {
+            panic!("unmutated {name} panicked");
+        }
+    }
+    for case in 0..FRAME_CASES {
+        let mut rng = Rng::new(0xC4E ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let (name, frame) = &corpus[rng.index(corpus.len())];
+        let mut bytes = frame.clone();
+        for _ in 0..1 + rng.index(3) {
+            let at = 12 + rng.index(bytes.len() - 20);
+            if rng.index(2) == 0 {
+                bytes[at] = rng.range_u64(0, 256) as u8;
+            } else {
+                bytes[at] ^= 1 << rng.index(8);
+            }
+        }
+        let bytes = reseal(bytes);
+        if catch_unwind(AssertUnwindSafe(|| resume_or_reject(&bytes))).is_err() {
+            panic!("case {case} (from {name}) panicked");
+        }
+    }
 }
